@@ -160,27 +160,3 @@ class LinearProgram:
             if gap > worst:
                 worst, worst_name = gap, name
         return worst, worst_name
-
-    def to_lp_text(self) -> str:
-        """Debug dump in the familiar LP text format."""
-
-        def term(handle, coef, first):
-            sign = "-" if coef < 0 else ("" if first else "+")
-            return f"{sign} {abs(coef):.12g} {self._names[handle]}"
-
-        lines = ["Maximize" if self.maximize else "Minimize"]
-        obj_terms = [term(h, c, i == 0)
-                     for i, (h, c) in enumerate(sorted(self._obj.items()))]
-        lines.append(" obj: " + " ".join(obj_terms) if obj_terms else " obj: 0")
-        lines.append("Subject To")
-        rel = {"<=": "<=", ">=": ">=", "==": "="}
-        for name, coeffs, sense, rhs in self._rows:
-            body = " ".join(term(h, c, i == 0) for i, (h, c) in enumerate(coeffs))
-            lines.append(f" {name}: {body} {rel[sense]} {rhs:.12g}")
-        lines.append("Bounds")
-        for i, name in enumerate(self._names):
-            lo = "-inf" if self._lb[i] == -np.inf else f"{self._lb[i]:.12g}"
-            hi = "+inf" if self._ub[i] == np.inf else f"{self._ub[i]:.12g}"
-            lines.append(f" {lo} <= {name} <= {hi}")
-        lines.append("End")
-        return "\n".join(lines) + "\n"

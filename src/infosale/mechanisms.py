@@ -16,15 +16,17 @@ Four solver entry points, all returning mechanism dataclasses:
                         seller's whole stake M ("-"), so the net transfer is
                         a two-point lottery {deposit, -M}.
 
-The first three require the state to be independent of (type, budget); the
-probabilistic-return LP works for arbitrarily correlated priors and its
-builder is shared with the sampling module's empirical variant.
+The first three require the state to be independent of (type, budget) and
+share one LP builder, differing only in the menu, weights, truthfulness pairs
+and price boxes they pass it. The probabilistic-return LP handles correlated
+priors; the exact solver and the sampling module's eps-slack solver share one
+solve path. One kernel cleanup serves every family.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -131,20 +133,29 @@ def _require_independent(instance: Instance, what: str) -> None:
             "this instance's prior does not factor")
 
 
-def _clean_kernel(rows: np.ndarray) -> np.ndarray:
-    """Clamp tiny entries to zero and renormalize each state's row."""
+def _clean_kernel(rows: np.ndarray, belief: np.ndarray, util: np.ndarray) -> np.ndarray:
+    """Clamp tiny entries to zero, renormalize each state's row, and merge
+    each recommendation into the one its own posterior best-responds to.
+
+    rows (m, n_omega, k * n_actions) holds k transfer blocks side by side,
+    column c recommending action c mod n_actions; belief (m, n_omega) and
+    util (m, n_omega, n_actions) are each menu entry's belief and utility
+    rows. Mass moves only within its transfer block, so revenue is unchanged,
+    the truthful buyer gains the regret removed and a misreport can only
+    lose: truthfulness and participation survive, and obedience holds by
+    construction rather than up to the solver's tolerance.
+    """
     rows = np.where(rows < KERNEL_CLIP, 0.0, rows)
     totals = rows.sum(axis=-1, keepdims=True)
-    return rows / np.where(totals <= 0.0, 1.0, totals)
-
-
-def _clean_probr_rows(pay: np.ndarray, refund: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Same cleanup, but a state's row spans both indicator blocks."""
-    pay = np.where(pay < KERNEL_CLIP, 0.0, pay)
-    refund = np.where(refund < KERNEL_CLIP, 0.0, refund)
-    totals = pay.sum(axis=-1) + refund.sum(axis=-1)
-    totals = np.where(totals <= 0.0, 1.0, totals)[..., None]
-    return pay / totals, refund / totals
+    rows = rows / np.where(totals <= 0.0, 1.0, totals)
+    na = util.shape[-1]
+    cols = np.arange(rows.shape[-1])
+    values = np.einsum("iw,iwc,iwa->ica", belief, rows, util)
+    move = values[:, cols, cols % na] < values.max(axis=-1)
+    if not move.any():
+        return rows
+    target = np.where(move, cols - cols % na + values.argmax(axis=-1), cols)
+    return np.einsum("iwc,icd->iwd", rows, np.eye(len(cols))[target])
 
 
 def _menu_labels(instance: Instance) -> tuple[tuple[str, float], ...]:
@@ -157,32 +168,32 @@ def _menu_labels(instance: Instance) -> tuple[tuple[str, float], ...]:
 # ---------------------------------------------------------------------------
 
 
-def _solve_deposit_family(instance: Instance, ic_pairs, t_bounds, lp_name):
-    """Common LP for the direct/deposit menus.
+def _solve_deposit_family(instance: Instance, menu, weights, ic_pairs, t_bounds, lp_name):
+    """Common LP for the direct, deposit and single-round menus.
 
-    Variables: a recommendation kernel p_i(omega, a) and a price t_i per
-    menu entry i, plus epigraph variables linearizing the deviator's
-    per-recommendation best response. `ic_pairs` lists the (truth i,
-    report j) constraints to impose; `t_bounds` gives each price's box.
-    The evaluation measure everywhere is the common state prior.
+    `menu` lists each entry's (theta index, budget) and `weights` its
+    revenue weight. Variables: a recommendation kernel p_i(omega, a) and a
+    price t_i per menu entry i, plus epigraph variables linearizing the
+    deviator's per-recommendation best response. `ic_pairs` lists the
+    (truth i, report j) constraints to impose; `t_bounds` gives each
+    price's box. The evaluation measure everywhere is the common state
+    prior. Returns (prices, kernel, utilities, revenue).
     """
     mu_w = instance.omega_marginal()
-    pairs = positive_types(instance)
-    weights = np.array([instance.type_marginal()[ti, bi] for ti, bi in pairs])
     nw, na = len(instance.omega), len(instance.actions)
     util = instance.utility
 
     lp = LinearProgram(lp_name)
-    p = np.empty((len(pairs), nw, na), dtype=int)
-    for i, (ti, bi) in enumerate(pairs):
+    p = np.empty((len(menu), nw, na), dtype=int)
+    for i in range(len(menu)):
         for w in range(nw):
             for a in range(na):
                 p[i, w, a] = lp.add_variable(f"p[{i},{w},{a}]", 0.0, 1.0)
-    t = np.array([lp.add_variable(f"t[{i}]", *t_bounds[i]) for i in range(len(pairs))])
+    t = np.array([lp.add_variable(f"t[{i}]", *t_bounds[i]) for i in range(len(menu))])
 
-    lp.set_objective([(t[i], weights[i]) for i in range(len(pairs))])
+    lp.set_objective([(t[i], weights[i]) for i in range(len(menu))])
 
-    for i, (ti, bi) in enumerate(pairs):
+    for i, (ti, _) in enumerate(menu):
         for w in range(nw):
             lp.add_constraint(f"rowsum[{i},{w}]",
                               [(p[i, w, a], 1.0) for a in range(na)], "==", 1.0)
@@ -208,8 +219,7 @@ def _solve_deposit_family(instance: Instance, ic_pairs, t_bounds, lp_name):
     # value against report j depends only on their type's utility row
     z: dict[tuple[int, int], np.ndarray] = {}
     for i, j in ic_pairs:
-        ti = pairs[i][0]
-        tj = pairs[j]
+        ti = menu[i][0]
         if (ti, j) not in z:
             zv = np.array([lp.add_variable(f"z[{ti},{j},{a}]", None, None)
                            for a in range(na)])
@@ -229,13 +239,23 @@ def _solve_deposit_family(instance: Instance, ic_pairs, t_bounds, lp_name):
             ">=", 0.0)
 
     sol = lp.solve()
-    kernel = _clean_kernel(sol.values[p.reshape(-1)].reshape(len(pairs), nw, na))
+    entry_util = util[:, [ti for ti, _ in menu], :].transpose(1, 0, 2)
+    kernel = _clean_kernel(sol.values[p.reshape(-1)].reshape(len(menu), nw, na),
+                           np.broadcast_to(mu_w, (len(menu), nw)), entry_util)
     prices = sol.values[t].astype(float)
     utilities = np.array([
-        float(np.einsum("w,wa,wa->", mu_w, kernel[i], util[:, ti, :])) - prices[i]
-        for i, (ti, bi) in enumerate(pairs)])
+        float(np.einsum("w,wa,wa->", mu_w, kernel[i], entry_util[i])) - prices[i]
+        for i in range(len(menu))])
     revenue = float(weights @ prices)
-    return pairs, prices, kernel, utilities, revenue
+    return prices, kernel, utilities, revenue
+
+
+def _deposit_menu(instance: Instance):
+    """Positive (type, budget) pairs as (theta index, budget) with their weights."""
+    marg = instance.type_marginal()
+    pairs = positive_types(instance)
+    return ([(ti, instance.budgets[bi]) for ti, bi in pairs],
+            np.array([marg[ti, bi] for ti, bi in pairs]))
 
 
 def solve_cm_depr(instance: Instance) -> DepositReturnMechanism:
@@ -245,16 +265,15 @@ def solve_cm_depr(instance: Instance) -> DepositReturnMechanism:
     truthfulness constraints run only against reports with b' <= b.
     """
     _require_independent(instance, "solve_cm_depr")
-    pairs = positive_types(instance)
-    levels = instance.budgets
+    menu, weights = _deposit_menu(instance)
     M = instance.seller_budget
     ic_pairs = [(i, j)
-                for i, (ti, bi) in enumerate(pairs)
-                for j, (tj, bj) in enumerate(pairs)
-                if j != i and levels[bj] <= levels[bi]]
-    t_bounds = [(-M, levels[bi]) for ti, bi in pairs]
-    _, prices, kernel, utilities, revenue = _solve_deposit_family(
-        instance, ic_pairs, t_bounds, "deposit-return")
+                for i, (_, b) in enumerate(menu)
+                for j, (_, b2) in enumerate(menu)
+                if j != i and b2 <= b]
+    t_bounds = [(-M, b) for _, b in menu]
+    prices, kernel, utilities, revenue = _solve_deposit_family(
+        instance, menu, weights, ic_pairs, t_bounds, "deposit-return")
     return DepositReturnMechanism(
         menu=_menu_labels(instance), payments=prices, kernel=kernel,
         revenue=revenue, utilities=utilities, kind="depr")
@@ -270,68 +289,17 @@ def solve_cm_dirp(instance: Instance, public_budget: float) -> DirectMechanism:
     _require_independent(instance, "solve_cm_dirp")
     if not (np.isfinite(public_budget) and public_budget >= 0):
         raise InputError("public budget must be finite and nonnegative")
-    mu_w = instance.omega_marginal()
     theta_weights = instance.theta_marginal()
     menu_thetas = [ti for ti in range(len(instance.theta)) if theta_weights[ti] > PROB_TOL]
-    nw, na = len(instance.omega), len(instance.actions)
-    util = instance.utility
-    M = instance.seller_budget
-
-    lp = LinearProgram("direct-payment")
-    p = np.empty((len(menu_thetas), nw, na), dtype=int)
-    for i, ti in enumerate(menu_thetas):
-        for w in range(nw):
-            for a in range(na):
-                p[i, w, a] = lp.add_variable(f"p[{i},{w},{a}]", 0.0, 1.0)
-    t = np.array([lp.add_variable(f"t[{i}]", -M, public_budget)
-                  for i in range(len(menu_thetas))])
-    lp.set_objective([(t[i], theta_weights[ti]) for i, ti in enumerate(menu_thetas)])
-
-    for i, ti in enumerate(menu_thetas):
-        for w in range(nw):
-            lp.add_constraint(f"rowsum[{i},{w}]",
-                              [(p[i, w, a], 1.0) for a in range(na)], "==", 1.0)
-        for a in range(na):
-            for a2 in range(na):
-                if a2 == a:
-                    continue
-                lp.add_constraint(
-                    f"ob[{i},{a},{a2}]",
-                    [(p[i, w, a], mu_w[w] * (util[w, ti, a] - util[w, ti, a2]))
-                     for w in range(nw)], ">=", 0.0)
-        truth_terms = [(p[i, w, a], mu_w[w] * util[w, ti, a])
-                       for w in range(nw) for a in range(na)]
-        for a2 in range(na):
-            lp.add_constraint(f"ir[{i},{a2}]", truth_terms + [(t[i], -1.0)],
-                              ">=", float(mu_w @ util[:, ti, a2]))
-        for j, tj in enumerate(menu_thetas):
-            if j == i:
-                continue
-            zv = [lp.add_variable(f"z[{i},{j},{a}]", None, None) for a in range(na)]
-            for a in range(na):
-                for a2 in range(na):
-                    lp.add_constraint(
-                        f"zdef[{i},{j},{a},{a2}]",
-                        [(zv[a], 1.0)] + [(p[j, w, a], -mu_w[w] * util[w, ti, a2])
-                                          for w in range(nw)], ">=", 0.0)
-            lp.add_constraint(
-                f"ic[{i},{j}]",
-                truth_terms + [(t[i], -1.0)] + [(zv[a], -1.0) for a in range(na)]
-                + [(t[j], 1.0)], ">=", 0.0)
-
-    sol = lp.solve()
-    kernel = _clean_kernel(sol.values[p.reshape(-1)].reshape(len(menu_thetas), nw, na))
-    prices = sol.values[t].astype(float)
-    utilities = np.array([
-        float(np.einsum("w,wa,wa->", mu_w, kernel[i], util[:, ti, :])) - prices[i]
-        for i, ti in enumerate(menu_thetas)])
+    menu = [(ti, float(public_budget)) for ti in menu_thetas]
+    ic_pairs = [(i, j) for i in range(len(menu)) for j in range(len(menu)) if j != i]
+    t_bounds = [(-instance.seller_budget, public_budget)] * len(menu)
+    prices, kernel, utilities, revenue = _solve_deposit_family(
+        instance, menu, theta_weights[menu_thetas], ic_pairs, t_bounds, "direct-payment")
     return DirectMechanism(
         public_budget=float(public_budget),
         theta_menu=tuple(instance.theta[ti] for ti in menu_thetas),
-        payments=prices, kernel=kernel,
-        revenue=float(sum(theta_weights[ti] * prices[i]
-                          for i, ti in enumerate(menu_thetas))),
-        utilities=utilities)
+        payments=prices, kernel=kernel, revenue=revenue, utilities=utilities)
 
 
 def solve_single_round(instance: Instance) -> DepositReturnMechanism:
@@ -346,12 +314,12 @@ def solve_single_round(instance: Instance) -> DepositReturnMechanism:
     what verified deposits buy the seller.
     """
     _require_independent(instance, "solve_single_round")
-    pairs = positive_types(instance)
+    menu, weights = _deposit_menu(instance)
     levels = instance.budgets
     M = instance.seller_budget
 
     # cutoff tau = lowest budget level that can afford the item
-    cutoff_choices = [[lv for lv in levels if lv <= levels[bi]] for ti, bi in pairs]
+    cutoff_choices = [[lv for lv in levels if lv <= b] for _, b in menu]
     n_patterns = int(np.prod([len(c) for c in cutoff_choices]))
     if n_patterns > MAX_AFFORDABILITY_PATTERNS:
         raise PreconditionError(
@@ -365,8 +333,8 @@ def solve_single_round(instance: Instance) -> DepositReturnMechanism:
         # a type the pattern ignored can in fact afford it; confirm those
         # types still have no incentive to grab it.
         for i, j in skipped_pairs:
-            ti = pairs[i][0]
-            if prices[j] > levels[pairs[i][1]] + 1e-9:
+            ti, b = menu[i]
+            if prices[j] > b + 1e-9:
                 continue
             dev = sum(max(float(mu_w @ (kernel[j][:, a] * instance.utility[:, ti, a2]))
                           for a2 in range(len(instance.actions)))
@@ -378,21 +346,21 @@ def solve_single_round(instance: Instance) -> DepositReturnMechanism:
     best = None
     for pattern in itertools.product(*cutoff_choices):
         ic_pairs, skipped = [], []
-        for i, (ti, bi) in enumerate(pairs):
-            for j in range(len(pairs)):
+        for i, (_, b) in enumerate(menu):
+            for j in range(len(menu)):
                 if j == i:
                     continue
-                (ic_pairs if pattern[j] <= levels[bi] else skipped).append((i, j))
+                (ic_pairs if pattern[j] <= b else skipped).append((i, j))
         floors = []
-        for j in range(len(pairs)):
+        for j in range(len(menu)):
             below = [lv for lv in levels if lv < pattern[j]]
             floors.append(max(below) if below else -M)
         for nudge in (0.0, 1e-7):
             t_bounds = [(floors[j] + (nudge if floors[j] > -M else 0.0), pattern[j])
-                        for j in range(len(pairs))]
+                        for j in range(len(menu))]
             try:
-                _, prices, kernel, utilities, revenue = _solve_deposit_family(
-                    instance, ic_pairs, t_bounds, "single-round")
+                prices, kernel, utilities, revenue = _solve_deposit_family(
+                    instance, menu, weights, ic_pairs, t_bounds, "single-round")
             except SolverFailure:
                 break  # pattern's price box is empty or infeasible
             if honest(prices, kernel, utilities, skipped):
@@ -506,6 +474,33 @@ def build_prob_return_lp(utility: np.ndarray, menu_types: list[tuple[int, float]
     return lp, p_pay, p_ref
 
 
+def _solve_prob_return(shape: Instance, menu: list[tuple[int, float]],
+                       cond: np.ndarray, joint: np.ndarray, M: float,
+                       eps: float = 0.0) -> ProbReturnMechanism:
+    """Build, solve and clean the probabilistic-return LP for given belief
+    data (see build_prob_return_lp), then price the cleaned menu: each
+    entry's truthful utility under its own belief and the joint-weighted
+    revenue. `shape` supplies the utility table and the type labels.
+    """
+    lp, p_pay, p_ref = build_prob_return_lp(shape.utility, menu, cond, joint, M, eps=eps)
+    sol = lp.solve()
+    m, nw, na = len(menu), len(shape.omega), len(shape.actions)
+    rows = np.concatenate([sol.values[p_pay.reshape(-1)].reshape(m, nw, na),
+                           sol.values[p_ref.reshape(-1)].reshape(m, nw, na)], axis=-1)
+    util = shape.utility[:, [ti for ti, _ in menu], :].transpose(1, 0, 2)
+    pay, refund = np.split(_clean_kernel(rows, cond, util), 2, axis=-1)
+    utilities = np.array([
+        float(np.einsum("w,wa->", cond[i], pay[i] * (util[i] - b))
+              + np.einsum("w,wa->", cond[i], refund[i] * (util[i] + M)))
+        for i, (_, b) in enumerate(menu)])
+    revenue = sum(float(np.einsum("w,wa->", joint[i], b * pay[i] - M * refund[i]))
+                  for i, (_, b) in enumerate(menu))
+    return ProbReturnMechanism(
+        menu=tuple((shape.theta[ti], b) for ti, b in menu), kernel_pay=pay,
+        kernel_refund=refund, seller_budget=float(M), revenue=float(revenue),
+        utilities=utilities)
+
+
 def solve_cm_probr(instance: Instance) -> ProbReturnMechanism:
     """Optimal probabilistic-return menu; correlated priors welcome.
 
@@ -515,34 +510,11 @@ def solve_cm_probr(instance: Instance) -> ProbReturnMechanism:
     signals a bug, not a bad instance.
     """
     pairs = positive_types(instance)
-    menu_types = [(ti, instance.budgets[bi]) for ti, bi in pairs]
-    cond = np.stack([conditional_belief(instance, ti, bi) for ti, bi in pairs])
-    joint = np.stack([instance.prior[:, ti, bi] for ti, bi in pairs])
-    lp, p_pay, p_ref = build_prob_return_lp(
-        instance.utility, menu_types, cond, joint, instance.seller_budget)
-    sol = lp.solve()
-    m, nw, na = len(pairs), len(instance.omega), len(instance.actions)
-    pay = sol.values[p_pay.reshape(-1)].reshape(m, nw, na)
-    refund = sol.values[p_ref.reshape(-1)].reshape(m, nw, na)
-    pay, refund = _clean_probr_rows(pay, refund)
-    mech = ProbReturnMechanism(
-        menu=_menu_labels(instance), kernel_pay=pay, kernel_refund=refund,
-        seller_budget=instance.seller_budget, revenue=0.0,
-        utilities=np.zeros(m))
-    utilities = np.array([_probr_truthful_utility(mech, instance, i, cond[i])
-                          for i in range(m)])
-    return replace(mech, revenue=expected_revenue(mech, instance), utilities=utilities)
-
-
-def _probr_truthful_utility(mech: ProbReturnMechanism, instance: Instance,
-                            i: int, belief: np.ndarray) -> float:
-    ti = instance.theta_id(mech.menu[i][0])
-    b = mech.menu[i][1]
-    M = mech.seller_budget
-    util = instance.utility[:, ti, :]
-    val = np.einsum("w,wa->", belief, mech.kernel_pay[i] * (util - b))
-    val += np.einsum("w,wa->", belief, mech.kernel_refund[i] * (util + M))
-    return float(val)
+    return _solve_prob_return(
+        instance, [(ti, instance.budgets[bi]) for ti, bi in pairs],
+        np.stack([conditional_belief(instance, ti, bi) for ti, bi in pairs]),
+        np.stack([instance.prior[:, ti, bi] for ti, bi in pairs]),
+        instance.seller_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -572,13 +544,6 @@ def expected_revenue(mech: Mechanism, instance: Instance) -> float:
                 "w,wa->", joint, b * mech.kernel_pay[i] - M * mech.kernel_refund[i]))
         return total
     raise InputError(f"unknown mechanism kind {mech.kind!r}")
-
-
-def recommendation_keys(mech: Mechanism, actions: tuple[str, ...]) -> list:
-    """What the buyer observes: actions, or (action, indicator) pairs."""
-    if mech.kind == "probr":
-        return [(a, sgn) for a in actions for sgn in ("+", "-")]
-    return list(actions)
 
 
 def buyer_utility(mech: Mechanism, instance: Instance,

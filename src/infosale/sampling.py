@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, PreconditionError
-from .mechanisms import (ProbReturnMechanism, _clean_probr_rows, _menu_labels,
-                         build_prob_return_lp)
+from . import mechanisms
+from .mechanisms import ProbReturnMechanism
 from .model import Instance
 
 Triple = tuple[str, str, float]  # (type label, state label, budget value)
@@ -195,29 +195,10 @@ def solve_epsilon_lp(empirical: EmpiricalPrior, shape: Instance, M: float,
     pairs = empirical.pairs()
     if not pairs:
         raise PreconditionError("empirical prior has no sampled types")
-    menu_types = [(ti, float(shape.budgets[bi])) for ti, bi in pairs]
-    cond = np.stack([empirical.belief(ti, bi) for ti, bi in pairs])
-    joint = empirical._joint
-    lp, p_pay, p_ref = build_prob_return_lp(
-        shape.utility, menu_types, cond, joint, M, eps=eps)
-    sol = lp.solve()
-    m, nw, na = len(pairs), len(shape.omega), len(shape.actions)
-    pay = sol.values[p_pay.reshape(-1)].reshape(m, nw, na)
-    refund = sol.values[p_ref.reshape(-1)].reshape(m, nw, na)
-    pay, refund = _clean_probr_rows(pay, refund)
-    menu = tuple((shape.theta[ti], float(shape.budgets[bi])) for ti, bi in pairs)
-    utilities = np.empty(m)
-    revenue = 0.0
-    for i, (ti, bi) in enumerate(pairs):
-        b = menu_types[i][1]
-        uth = shape.utility[:, ti, :]
-        utilities[i] = float(cond[i] @ ((pay[i] * (uth - b)).sum(axis=1)
-                                        + (refund[i] * (uth + M)).sum(axis=1)))
-        revenue += float(joint[i] @ (b * pay[i].sum(axis=1)
-                                     - M * refund[i].sum(axis=1)))
-    return ProbReturnMechanism(menu=menu, kernel_pay=pay, kernel_refund=refund,
-                               seller_budget=float(M), revenue=float(revenue),
-                               utilities=utilities)
+    return mechanisms._solve_prob_return(
+        shape, [(ti, float(shape.budgets[bi])) for ti, bi in pairs],
+        np.stack([empirical.belief(ti, bi) for ti, bi in pairs]), empirical._joint,
+        M, eps)
 
 
 def certified_slack(eps: float) -> dict:

@@ -1,10 +1,14 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from infosale import load_instance, mechanism_from_json_dict
 from infosale.cli import main
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 @pytest.fixture
@@ -177,3 +181,24 @@ def test_tolerance_env_override(box_file, tmp_path, capsys, monkeypatch):
     code, _ = run_cli(["verify", "--instance", str(box_file),
                        "--mechanism-file", str(mech)], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("box_dirp_50", ["dirp", "--public-budget", "50"]),
+    ("box_depr", ["depr"]),
+    ("box_probr", ["probr"]),
+    ("box_single_round", ["single-round"]),
+])
+def test_committed_mechanism_files(name, argv, box_file, tmp_path, capsys):
+    # treasure-box mechanism files pinned from an earlier version: they still
+    # load and verify, and solving today writes the same bytes
+    committed = FIXTURES / f"{name}.mech.json"
+    mechanism_from_json_dict(json.loads(committed.read_text()), load_instance(box_file))
+    code, _ = run_cli(["verify", "--instance", str(box_file),
+                       "--mechanism-file", str(committed)], capsys)
+    assert code == 0
+    fresh = tmp_path / "fresh.json"
+    code, _ = run_cli(["solve", "--instance", str(box_file), "--mechanism", *argv,
+                       "--out", str(fresh)], capsys)
+    assert code == 0
+    assert fresh.read_bytes() == committed.read_bytes()

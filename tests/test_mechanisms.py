@@ -1,8 +1,11 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from infosale import (PreconditionError, buyer_utility, expected_revenue,
-                      full_revelation_menu, is_independent,
+                      full_revelation_menu, is_independent, load_instance,
                       mechanism_from_json_dict, mechanism_to_json_dict,
                       replicate_as_prob_return, revenue_cap, solve_cm_depr,
                       solve_cm_dirp, solve_cm_probr, solve_single_round,
@@ -188,3 +191,22 @@ def test_probr_equals_depr_when_independent(rng):
         a = solve_cm_depr(inst).revenue
         b = solve_cm_probr(inst).revenue
         assert abs(a - b) <= 1e-5
+
+
+def test_dirp_equals_depr_at_one_budget_level(rng):
+    # with a single budget level B the direct menu at public budget B and the
+    # deposit menu are the same program: same entries, weights, pairs, boxes
+    for _ in range(20):
+        inst = random_independent_instance(rng, max_budgets=1)
+        b = inst.budgets[0]
+        assert abs(solve_cm_dirp(inst, b).revenue - solve_cm_depr(inst).revenue) <= 1e-7
+
+
+def test_probr_rare_recommendation_is_obeyed():
+    # the first (5, 5, 4, 3) instance of pass 5 of the probr-large benchmark
+    # workload at seed 102 (M = 0): its LP optimum, exact only to HiGHS's
+    # tolerance, recommends (a2, -) to (t4, 7.59767) so rarely that the
+    # posterior regret reads -1.35e-5 per unit of probability
+    path = Path(__file__).parent / "fixtures" / "probr_obedience_seed102.json"
+    inst = load_instance(json.loads(path.read_text()))
+    assert verify_all(solve_cm_probr(inst), inst, eps=0.0, tol=1e-6).passed
