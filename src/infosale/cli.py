@@ -262,6 +262,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # INFOSALE_TOL holds for this call only: a caller in the same process
+    # (a test, a script) gets the module defaults back afterwards
+    defaults = lpcore.FEAS_TOL, verify_mod.DEFAULT_TOL
+    try:
+        return _main(argv)
+    finally:
+        lpcore.FEAS_TOL, verify_mod.DEFAULT_TOL = defaults
+
+
+def _main(argv) -> int:
     tol_env = os.environ.get("INFOSALE_TOL")
     if tol_env:
         try:

@@ -1,9 +1,11 @@
 """Thin LP modeling layer over scipy's HiGHS backend.
 
 Variables and constraints are added by name and integer handle; solve()
-assembles sparse matrices, runs HiGHS, maps its status onto a small enum,
-and re-checks the returned point against every constraint with independent
-arithmetic — a solution is never trusted on the solver's word alone.
+assembles sparse matrices, runs HiGHS (its simplex for a pure LP, its
+branch-and-bound once any column is integer), maps its status onto a small
+enum, and re-checks the returned point against every constraint and
+integrality requirement with independent arithmetic — a solution is never
+trusted on the solver's word alone.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 from scipy.sparse import csr_matrix
 
 from .errors import SolverFailure
@@ -57,13 +59,21 @@ class LinearProgram:
     _ub: list[float] = field(default_factory=list)
     _obj: dict[int, float] = field(default_factory=dict)
     _rows: list[tuple[str, list[tuple[int, float]], str, float]] = field(default_factory=list)
+    _integer: list[int] = field(default_factory=list)
 
-    def add_variable(self, name: str, lb: float = 0.0, ub: float | None = None) -> int:
-        """Register a variable; returns its integer handle (the LP column)."""
+    def add_variable(self, name: str, lb: float = 0.0, ub: float | None = None,
+                     integer: bool = False) -> int:
+        """Register a variable; returns its integer handle (the LP column).
+
+        An integer variable makes the program a mixed-integer one.
+        """
         self._names.append(name)
         self._lb.append(-np.inf if lb is None else float(lb))
         self._ub.append(np.inf if ub is None else float(ub))
-        return len(self._names) - 1
+        handle = len(self._names) - 1
+        if integer:
+            self._integer.append(handle)
+        return handle
 
     def add_constraint(self, name: str, coeffs: list[tuple[int, float]],
                        sense: str, rhs: float) -> None:
@@ -117,9 +127,12 @@ class LinearProgram:
         attribute so callers can distinguish modeling bugs from bad inputs.
         """
         c, A_ub, b_ub, A_eq, b_eq, bounds = self._assemble()
-        result = linprog(c, A_ub=A_ub, b_ub=b_ub if A_ub is not None else None,
-                         A_eq=A_eq, b_eq=b_eq if A_eq is not None else None,
-                         bounds=bounds, method="highs")
+        if self._integer:
+            result = self._solve_mip(c, A_ub, b_ub, A_eq, b_eq)
+        else:
+            result = linprog(c, A_ub=A_ub, b_ub=b_ub if A_ub is not None else None,
+                             A_eq=A_eq, b_eq=b_eq if A_eq is not None else None,
+                             bounds=bounds, method="highs")
         if result.status == 2:
             raise SolverFailure(f"{self.name}: program infeasible", )
         if result.status == 3:
@@ -135,11 +148,27 @@ class LinearProgram:
                                 f"by {worst:.3g} (> {FEAS_TOL:g})")
         return LPSolution(values=values, objective=objective, status=OPTIMAL)
 
+    def _solve_mip(self, c, A_ub, b_ub, A_eq, b_eq):
+        """HiGHS branch-and-bound on the assembled rows; its status codes
+        (0 optimal, 2 infeasible, 3 unbounded) match linprog's."""
+        constraints = []
+        if A_ub is not None:
+            constraints.append(LinearConstraint(A_ub, -np.inf, b_ub))
+        if A_eq is not None:
+            constraints.append(LinearConstraint(A_eq, b_eq, b_eq))
+        integrality = np.zeros(len(c))
+        integrality[self._integer] = 1
+        # HiGHS's default relative gap (1e-4) would let branch-and-bound stop
+        # at a visibly worse answer
+        return milp(c, integrality=integrality, bounds=Bounds(self._lb, self._ub),
+                    constraints=constraints, options={"mip_rel_gap": 1e-9})
+
     def _eval_objective(self, values: np.ndarray) -> float:
         return sum(coef * values[handle] for handle, coef in self._obj.items())
 
     def max_violation(self, values: np.ndarray) -> tuple[float, str]:
-        """Largest constraint/bound violation at the point, with its name.
+        """Largest constraint/bound/integrality violation at the point, with
+        its name.
 
         This is the independent feasibility pass: plain dot products, no
         solver state involved.
@@ -149,6 +178,10 @@ class LinearProgram:
             gap = max(lb - values[i], values[i] - ub)
             if gap > worst:
                 worst, worst_name = gap, f"bound:{self._names[i]}"
+        for i in self._integer:
+            gap = abs(values[i] - round(values[i]))
+            if gap > worst:
+                worst, worst_name = gap, f"integrality:{self._names[i]}"
         for name, coeffs, sense, rhs in self._rows:
             lhs = sum(coef * values[handle] for handle, coef in coeffs)
             if sense == "<=":

@@ -9,7 +9,9 @@ Four solver entry points, all returning mechanism dataclasses:
                         downward) and receives deposit minus price back.
 * solve_single_round -- direct payment with an *unverified* budget report:
                         a deviation is available whenever its price fits in
-                        the true wallet. Diagnostic; not an LP, see below.
+                        the true wallet. Diagnostic; a mixed-integer program
+                        picks which budget levels can afford each item, then
+                        that pattern's LP gives the menu.
 * solve_cm_probr     -- probabilistic return: the buyer deposits the reported
                         budget, and per recommendation the mechanism either
                         keeps the deposit ("+") or returns deposit plus the
@@ -25,7 +27,6 @@ solve path. One kernel cleanup serves every family.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,11 +38,6 @@ from .model import (Instance, conditional_belief, is_independent,
 
 # Kernel entries below this are clamped to zero and rows renormalized.
 KERNEL_CLIP = 1e-9
-
-# solve_single_round enumerates one LP per affordability pattern; refuse to
-# run past this many (the count is product over menu items of the number of
-# budget levels at or below the item's level).
-MAX_AFFORDABILITY_PATTERNS = 20000
 
 
 def _bkey(b: float) -> str:
@@ -143,7 +139,10 @@ def _clean_kernel(rows: np.ndarray, belief: np.ndarray, util: np.ndarray) -> np.
     rows. Mass moves only within its transfer block, so revenue is unchanged,
     the truthful buyer gains the regret removed and a misreport can only
     lose: truthfulness and participation survive, and obedience holds by
-    construction rather than up to the solver's tolerance.
+    construction rather than up to the solver's tolerance. A column moves
+    only when its regret exceeds the rounding error of its own values
+    (8 machine epsilons of sum_w belief * rows * max_a |u|), so exact ties
+    stay where the solver put them.
     """
     rows = np.where(rows < KERNEL_CLIP, 0.0, rows)
     totals = rows.sum(axis=-1, keepdims=True)
@@ -151,7 +150,9 @@ def _clean_kernel(rows: np.ndarray, belief: np.ndarray, util: np.ndarray) -> np.
     na = util.shape[-1]
     cols = np.arange(rows.shape[-1])
     values = np.einsum("iw,iwc,iwa->ica", belief, rows, util)
-    move = values[:, cols, cols % na] < values.max(axis=-1)
+    scale = np.einsum("iw,iwc,iw->ic", belief, rows, np.abs(util).max(axis=-1))
+    regret = values.max(axis=-1) - values[:, cols, cols % na]
+    move = regret > 8 * np.finfo(float).eps * scale
     if not move.any():
         return rows
     target = np.where(move, cols - cols % na + values.argmax(axis=-1), cols)
@@ -168,22 +169,24 @@ def _menu_labels(instance: Instance) -> tuple[tuple[str, float], ...]:
 # ---------------------------------------------------------------------------
 
 
-def _solve_deposit_family(instance: Instance, menu, weights, ic_pairs, t_bounds, lp_name):
-    """Common LP for the direct, deposit and single-round menus.
+def _add_deposit_model(lp: LinearProgram, instance: Instance, menu, weights, ic_pairs,
+                       t_bounds, ic_relax=None):
+    """Common model of the direct, deposit and single-round menus, added to lp.
 
     `menu` lists each entry's (theta index, budget) and `weights` its
     revenue weight. Variables: a recommendation kernel p_i(omega, a) and a
     price t_i per menu entry i, plus epigraph variables linearizing the
     deviator's per-recommendation best response. `ic_pairs` lists the
     (truth i, report j) constraints to impose; `t_bounds` gives each
-    price's box. The evaluation measure everywhere is the common state
-    prior. Returns (prices, kernel, utilities, revenue).
+    price's box; `ic_relax` maps a pair to extra terms on its truthfulness
+    row. The evaluation measure everywhere is the common state prior.
+    Returns the handle arrays (p, t).
     """
     mu_w = instance.omega_marginal()
     nw, na = len(instance.omega), len(instance.actions)
     util = instance.utility
+    ic_relax = ic_relax or {}
 
-    lp = LinearProgram(lp_name)
     p = np.empty((len(menu), nw, na), dtype=int)
     for i in range(len(menu)):
         for w in range(nw):
@@ -235,11 +238,23 @@ def _solve_deposit_family(instance: Instance, menu, weights, ic_pairs, t_bounds,
         lp.add_constraint(
             f"ic[{i},{j}]",
             truth_terms + [(t[i], -1.0)]
-            + [(z[ti, j][a], -1.0) for a in range(na)] + [(t[j], 1.0)],
+            + [(z[ti, j][a], -1.0) for a in range(na)] + [(t[j], 1.0)]
+            + ic_relax.get((i, j), []),
             ">=", 0.0)
+    return p, t
 
+
+def _solve_deposit_family(instance: Instance, menu, weights, ic_pairs, t_bounds, lp_name):
+    """Solve and clean the common LP (see _add_deposit_model).
+
+    Returns (prices, kernel, utilities, revenue).
+    """
+    mu_w = instance.omega_marginal()
+    nw, na = len(instance.omega), len(instance.actions)
+    lp = LinearProgram(lp_name)
+    p, t = _add_deposit_model(lp, instance, menu, weights, ic_pairs, t_bounds)
     sol = lp.solve()
-    entry_util = util[:, [ti for ti, _ in menu], :].transpose(1, 0, 2)
+    entry_util = instance.utility[:, [ti for ti, _ in menu], :].transpose(1, 0, 2)
     kernel = _clean_kernel(sol.values[p.reshape(-1)].reshape(len(menu), nw, na),
                            np.broadcast_to(mu_w, (len(menu), nw)), entry_util)
     prices = sol.values[t].astype(float)
@@ -302,31 +317,68 @@ def solve_cm_dirp(instance: Instance, public_budget: float) -> DirectMechanism:
         payments=prices, kernel=kernel, revenue=revenue, utilities=utilities)
 
 
+def _affordability_pattern(instance: Instance, menu, weights) -> list[int]:
+    """Each menu item's cutoff (the index of the lowest budget level that can
+    afford it) in a revenue-optimal single-round menu, from one
+    mixed-integer program.
+
+    A single-round menu's feasible set is a union of polyhedra, one per
+    pattern of cutoffs; the program writes the union disjunctively (Balas,
+    "Disjunctive Programming", 1979). Binary y[j,k] picks item j's cutoff
+    level k <= b_j and confines its price to (level k-1, level k], with -M
+    as the floor of the lowest level and 1e-7 keeping a price off the level
+    just below; each truthfulness row (i, j) is switched off by a big-M
+    whenever the picked cutoff lies above b_i.
+    """
+    levels = instance.budgets
+    M = instance.seller_budget
+    util = instance.utility
+    big = float(util.max() - util.min()) + max(levels) + M + 1.0
+    floors = [-M] + [lv + 1e-7 for lv in levels[:-1]]
+
+    lp = LinearProgram("single-round-pattern")
+    y = [[lp.add_variable(f"y[{j},{k}]", 0.0, 1.0, integer=True)
+          for k, lv in enumerate(levels) if lv <= b]
+         for j, (_, b) in enumerate(menu)]
+    ic_pairs = [(i, j) for i in range(len(menu)) for j in range(len(menu)) if j != i]
+    ic_relax = {(i, j): [(y[j][k], big) for k in range(len(y[j])) if levels[k] > menu[i][1]]
+                for i, j in ic_pairs}
+    _, t = _add_deposit_model(lp, instance, menu, weights, ic_pairs,
+                              [(-M, b) for _, b in menu], ic_relax)
+    for j, yj in enumerate(y):
+        lp.add_constraint(f"pick[{j}]", [(h, 1.0) for h in yj], "==", 1.0)
+        lp.add_constraint(f"cap[{j}]", [(t[j], 1.0)]
+                          + [(h, -levels[k]) for k, h in enumerate(yj)], "<=", 0.0)
+        lp.add_constraint(f"floor[{j}]", [(t[j], 1.0)]
+                          + [(h, -floors[k]) for k, h in enumerate(yj)], ">=", 0.0)
+    try:
+        sol = lp.solve()
+    except SolverFailure as exc:
+        raise PreconditionError("no affordability pattern is feasible") from exc
+    return [int(np.argmax(sol.values[yj])) for yj in y]
+
+
 def solve_single_round(instance: Instance) -> DepositReturnMechanism:
     """Best single direct payment with an *unverified* budget report.
 
     A deviation to report (theta', b') is available exactly when its price
     fits the true wallet (t_{theta',b'} <= b), which depends on the prices
-    being chosen — a union of polyhedra, not one LP. We enumerate the
-    finitely many affordability patterns: each menu item's price is confined
-    between two adjacent budget levels, which pins down who can afford it,
-    and take the best pattern. Diagnostic companion to solve_cm_depr showing
-    what verified deposits buy the seller.
+    being chosen — a union of polyhedra, one per affordability pattern (each
+    menu item's price confined between two adjacent budget levels, which
+    pins down who can afford it). One mixed-integer program picks the best
+    pattern (see _affordability_pattern); the pattern's own LP, with only
+    the truthfulness pairs it makes affordable, then gives the menu.
+    Diagnostic companion to solve_cm_depr showing what verified deposits
+    buy the seller.
     """
     _require_independent(instance, "solve_single_round")
     menu, weights = _deposit_menu(instance)
     levels = instance.budgets
     M = instance.seller_budget
-
-    # cutoff tau = lowest budget level that can afford the item
-    cutoff_choices = [[lv for lv in levels if lv <= b] for _, b in menu]
-    n_patterns = int(np.prod([len(c) for c in cutoff_choices]))
-    if n_patterns > MAX_AFFORDABILITY_PATTERNS:
-        raise PreconditionError(
-            f"single-round search needs {n_patterns} affordability patterns "
-            f"(cap {MAX_AFFORDABILITY_PATTERNS}); reduce types or budget levels")
-
     mu_w = instance.omega_marginal()
+    cutoffs = _affordability_pattern(instance, menu, weights)
+    pattern = [levels[k] for k in cutoffs]
+    floors = [levels[k - 1] if k else -M for k in cutoffs]
 
     def honest(prices, kernel, utilities, skipped_pairs):
         # A price may land exactly on the level just below its cutoff, where
@@ -343,37 +395,26 @@ def solve_single_round(instance: Instance) -> DepositReturnMechanism:
                 return False
         return True
 
-    best = None
-    for pattern in itertools.product(*cutoff_choices):
-        ic_pairs, skipped = [], []
-        for i, (_, b) in enumerate(menu):
-            for j in range(len(menu)):
-                if j == i:
-                    continue
-                (ic_pairs if pattern[j] <= b else skipped).append((i, j))
-        floors = []
+    ic_pairs, skipped = [], []
+    for i, (_, b) in enumerate(menu):
         for j in range(len(menu)):
-            below = [lv for lv in levels if lv < pattern[j]]
-            floors.append(max(below) if below else -M)
-        for nudge in (0.0, 1e-7):
-            t_bounds = [(floors[j] + (nudge if floors[j] > -M else 0.0), pattern[j])
-                        for j in range(len(menu))]
-            try:
-                prices, kernel, utilities, revenue = _solve_deposit_family(
-                    instance, menu, weights, ic_pairs, t_bounds, "single-round")
-            except SolverFailure:
-                break  # pattern's price box is empty or infeasible
-            if honest(prices, kernel, utilities, skipped):
-                if best is None or revenue > best[0] + 1e-12:
-                    best = (revenue, prices, kernel, utilities)
-                break
-            # otherwise lift prices just inside the open end and retry once
-    if best is None:
-        raise PreconditionError("no affordability pattern is feasible")
-    revenue, prices, kernel, utilities = best
-    return DepositReturnMechanism(
-        menu=_menu_labels(instance), payments=prices, kernel=kernel,
-        revenue=revenue, utilities=utilities, kind="single-round")
+            if j == i:
+                continue
+            (ic_pairs if pattern[j] <= b else skipped).append((i, j))
+    for nudge in (0.0, 1e-7):
+        t_bounds = [(floors[j] + (nudge if floors[j] > -M else 0.0), pattern[j])
+                    for j in range(len(menu))]
+        try:
+            prices, kernel, utilities, revenue = _solve_deposit_family(
+                instance, menu, weights, ic_pairs, t_bounds, "single-round")
+        except SolverFailure:
+            break  # pattern's price box is empty or infeasible
+        if honest(prices, kernel, utilities, skipped):
+            return DepositReturnMechanism(
+                menu=_menu_labels(instance), payments=prices, kernel=kernel,
+                revenue=revenue, utilities=utilities, kind="single-round")
+        # otherwise lift prices just inside the open end and retry once
+    raise PreconditionError("no affordability pattern is feasible")
 
 
 # ---------------------------------------------------------------------------

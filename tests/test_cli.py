@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from infosale import load_instance, mechanism_from_json_dict
+import infosale.verify as verify_mod
+from infosale import lpcore, load_instance, mechanism_from_json_dict
 from infosale.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -202,3 +203,14 @@ def test_committed_mechanism_files(name, argv, box_file, tmp_path, capsys):
                        "--out", str(fresh)], capsys)
     assert code == 0
     assert fresh.read_bytes() == committed.read_bytes()
+
+
+def test_tolerance_env_ends_with_the_call(box_file, capsys, monkeypatch):
+    # a loosened INFOSALE_TOL must not outlive main: every later solve and
+    # verify in the same process would run at it
+    monkeypatch.setenv("INFOSALE_TOL", "1e-3")
+    code, _ = run_cli(["solve", "--instance", str(box_file), "--mechanism", "depr"],
+                      capsys)
+    assert code == 0
+    assert lpcore.FEAS_TOL == 1e-6
+    assert verify_mod.DEFAULT_TOL == 1e-6

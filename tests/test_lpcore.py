@@ -87,3 +87,37 @@ def test_random_lps_respect_constraints(rng):
         lp.set_objective([(xs[i], float(rng.normal())) for i in range(n)])
         sol = lp.solve()
         assert lp.max_violation(sol.values)[0] <= 1e-8
+
+
+def _knapsack(integer):
+    # max 8a + 11b + 6c + 4d  s.t. 5a + 7b + 4c + 3d <= 14, each in [0, 1]:
+    # the relaxation takes half of c for 22, the 0/1 optimum is b + c + d = 21
+    lp = LinearProgram("knapsack")
+    xs = [lp.add_variable(f"x{i}", 0.0, 1.0, integer=integer) for i in range(4)]
+    lp.add_constraint("weight", list(zip(xs, [5.0, 7.0, 4.0, 3.0])), "<=", 14.0)
+    lp.set_objective(list(zip(xs, [8.0, 11.0, 6.0, 4.0])))
+    return lp
+
+
+def test_integer_columns_give_integer_optimum():
+    assert _knapsack(False).solve().objective == pytest.approx(22.0, abs=1e-9)
+    sol = _knapsack(True).solve()
+    assert sol.objective == pytest.approx(21.0, abs=1e-9)
+    assert np.allclose(sol.values, [0.0, 1.0, 1.0, 1.0], atol=1e-9)
+
+
+def test_infeasible_integer_program_raises():
+    # 2x == 1 has the fractional solution 1/2 but no integer one
+    lp = LinearProgram("odd")
+    x = lp.add_variable("x", 0.0, 1.0, integer=True)
+    lp.add_constraint("half", [(x, 2.0)], "==", 1.0)
+    lp.set_objective([(x, 1.0)])
+    with pytest.raises(SolverFailure, match="infeasible"):
+        lp.solve()
+
+
+def test_recheck_reports_integrality_violation():
+    lp = _knapsack(True)
+    worst, name = lp.max_violation(np.array([0.0, 1.0, 0.5, 0.0]))
+    assert worst == pytest.approx(0.5)
+    assert name == "integrality:x2"

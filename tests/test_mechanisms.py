@@ -10,6 +10,7 @@ from infosale import (PreconditionError, buyer_utility, expected_revenue,
                       replicate_as_prob_return, revenue_cap, solve_cm_depr,
                       solve_cm_dirp, solve_cm_probr, solve_single_round,
                       verify_all)
+from infosale.mechanisms import _clean_kernel
 from infosale.random_instances import (random_correlated_instance,
                                        random_independent_instance)
 
@@ -210,3 +211,16 @@ def test_probr_rare_recommendation_is_obeyed():
     path = Path(__file__).parent / "fixtures" / "probr_obedience_seed102.json"
     inst = load_instance(json.loads(path.read_text()))
     assert verify_all(solve_cm_probr(inst), inst, eps=0.0, tol=1e-6).passed
+
+
+def test_kernel_cleanup_merges_real_regret_only():
+    # one menu entry, one column in use: action a1 is worth one ulp more than
+    # the recommended a0 in every state, a tie up to rounding, so the column
+    # stays; once a1 is worth 1e-3 more, the column moves onto a1
+    belief = np.array([[0.2, 0.3, 0.5]])
+    rows = np.array([[[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]]])
+    u0 = np.array([3.7, 1.3, 6.1])
+    tied = np.stack([u0, np.nextafter(u0, np.inf)], axis=-1)[None]
+    assert np.array_equal(_clean_kernel(rows, belief, tied), rows)
+    worse = np.stack([u0, u0 + 1e-3], axis=-1)[None]
+    assert np.array_equal(_clean_kernel(rows, belief, worse), rows[:, :, ::-1])
