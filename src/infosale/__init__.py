@@ -10,7 +10,7 @@ from .model import (Instance, bayes_update, conditional_belief, is_independent,
                     instance_to_json_dict, load_instance, outside_option,
                     positive_types, surplus, treasure_box, validate)
 from .lpcore import LinearProgram, LPSolution
-from .mechanisms import (DepositReturnMechanism, DirectMechanism,
+from .mechanisms import (DepositReturnMechanism, DirectMechanism, Mechanism, Menu,
                          ProbReturnMechanism, buyer_utility, expected_revenue,
                          full_revelation_menu, mechanism_from_json_dict,
                          mechanism_to_json_dict, replicate_as_prob_return,

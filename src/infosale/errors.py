@@ -26,4 +26,9 @@ class PreconditionError(InfosaleError):
 
 class SolverFailure(InfosaleError):
     """The LP backend returned an unusable status or a solution that fails
-    the independent feasibility re-check."""
+    the independent feasibility re-check. `status` says which: "infeasible",
+    "unbounded", "recheck" (the re-check failed) or "error"."""
+
+    def __init__(self, *args, status: str = "error"):
+        super().__init__(*args)
+        self.status = status

@@ -87,12 +87,6 @@ class LinearProgram:
         for handle, coef in coeffs:
             self._obj[handle] = self._obj.get(handle, 0.0) + coef
 
-    def num_variables(self) -> int:
-        return len(self._names)
-
-    def num_constraints(self) -> int:
-        return len(self._rows)
-
     def _assemble(self):
         n = len(self._names)
         c = np.zeros(n)
@@ -123,8 +117,8 @@ class LinearProgram:
     def solve(self) -> LPSolution:
         """Run HiGHS; raises SolverFailure unless a verified optimum returns.
 
-        Infeasible/unbounded programs raise SolverFailure with a status
-        attribute so callers can distinguish modeling bugs from bad inputs.
+        The SolverFailure's status (INFEASIBLE, UNBOUNDED, "recheck" or
+        "error") lets callers tell a bad input from a solver breakdown.
         """
         c, A_ub, b_ub, A_eq, b_eq, bounds = self._assemble()
         if self._integer:
@@ -134,9 +128,9 @@ class LinearProgram:
                              A_eq=A_eq, b_eq=b_eq if A_eq is not None else None,
                              bounds=bounds, method="highs")
         if result.status == 2:
-            raise SolverFailure(f"{self.name}: program infeasible", )
+            raise SolverFailure(f"{self.name}: program infeasible", status=INFEASIBLE)
         if result.status == 3:
-            raise SolverFailure(f"{self.name}: program unbounded")
+            raise SolverFailure(f"{self.name}: program unbounded", status=UNBOUNDED)
         if result.status != 0 or result.x is None:
             raise SolverFailure(f"{self.name}: solver returned status "
                                 f"{result.status} ({result.message})")
@@ -145,7 +139,7 @@ class LinearProgram:
         worst, row_name = self.max_violation(values)
         if worst > FEAS_TOL:
             raise SolverFailure(f"{self.name}: solver point violates {row_name!r} "
-                                f"by {worst:.3g} (> {FEAS_TOL:g})")
+                                f"by {worst:.3g} (> {FEAS_TOL:g})", status="recheck")
         return LPSolution(values=values, objective=objective, status=OPTIMAL)
 
     def _solve_mip(self, c, A_ub, b_ub, A_eq, b_eq):

@@ -1,28 +1,33 @@
 """Revenue-optimal menus for selling information, as polynomial-size LPs.
 
-Four solver entry points, all returning mechanism dataclasses:
+Every mechanism is a `Menu`: the buyer reports a menu entry, a kernel draws
+the action to recommend, and a transfer settles. The four kinds differ only
+in how that transfer is charged:
 
-* solve_cm_dirp      -- direct payment, publicly known common budget;
-                        reports are types only.
-* solve_cm_depr      -- deposit-and-return: the buyer deposits the reported
-                        budget up front (so budget reports are self-verifying
-                        downward) and receives deposit minus price back.
-* solve_single_round -- direct payment with an *unverified* budget report:
-                        a deviation is available whenever its price fits in
-                        the true wallet. Diagnostic; a mixed-integer program
-                        picks which budget levels can afford each item, then
-                        that pattern's LP gives the menu.
-* solve_cm_probr     -- probabilistic return: the buyer deposits the reported
-                        budget, and per recommendation the mechanism either
-                        keeps the deposit ("+") or returns deposit plus the
-                        seller's whole stake M ("-"), so the net transfer is
-                        a two-point lottery {deposit, -M}.
+* dirp         -- direct payment at a public common budget; reports are types
+                  only (solve_cm_dirp).
+* depr         -- deposit-and-return: the buyer deposits the reported budget
+                  (so budget reports are self-verifying downward) and gets
+                  back deposit minus price (solve_cm_depr).
+* single-round -- direct payment with an *unverified* budget report: a
+                  deviation is available whenever its price fits the true
+                  wallet. Diagnostic; a mixed-integer program picks which
+                  budget levels can afford each item, then that pattern's LP
+                  gives the menu (solve_single_round).
+* probr        -- probabilistic return: the buyer deposits the reported budget,
+                  and per recommendation the mechanism keeps it ("+") or
+                  returns it plus the seller's whole stake M ("-"), so the net
+                  transfer is a two-point lottery {deposit, -M}
+                  (solve_cm_probr).
 
-The first three require the state to be independent of (type, budget) and
-share one LP builder, differing only in the menu, weights, truthfulness pairs
-and price boxes they pass it. The probabilistic-return LP handles correlated
-priors; the exact solver and the sampling module's eps-slack solver share one
-solve path. One kernel cleanup serves every family.
+Menu.blocks, Menu.cost and Menu.find hold every difference between the kinds;
+revenue, buyer utility, verification and the protocol embedding read a menu
+only through them. The first three solvers require the state to be
+independent of (type, budget) and share one LP builder, differing only in the
+menu, weights, truthfulness pairs and price boxes they pass it. The
+probabilistic-return LP handles correlated priors; the exact solver and the
+sampling module's eps-slack solver share one solve path. One kernel cleanup
+serves every family.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, PreconditionError, SolverFailure
-from .lpcore import LinearProgram
+from .lpcore import INFEASIBLE, LinearProgram
 from .model import (Instance, conditional_belief, is_independent,
                     positive_types, surplus, PROB_TOL)
 
@@ -40,81 +45,88 @@ from .model import (Instance, conditional_belief, is_independent,
 KERNEL_CLIP = 1e-9
 
 
-def _bkey(b: float) -> str:
-    return format(float(b), ".12g")
-
-
 def pair_key(theta: str, b: float) -> str:
     """Stable string key for a (type, budget) menu entry."""
-    return f"{theta}|{_bkey(b)}"
+    return f"{theta}|{float(b):.12g}"
 
 
 # ---------------------------------------------------------------------------
-# mechanism containers
+# the mechanism
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class DirectMechanism:
-    """Type-only menu at a public common budget: pay t_theta, get a signal."""
+class Menu:
+    """A menu of transfer lotteries: report entry i, receive a recommendation
+    drawn from kernel[i] given the state, and pay the transfer of the block
+    the recommendation came from.
 
-    public_budget: float
-    theta_menu: tuple[str, ...]
-    payments: np.ndarray        # (m,)
-    kernel: np.ndarray          # (m, n_omega, n_actions); rows sum to 1 per omega
-    revenue: float
-    utilities: np.ndarray       # (m,) truthful obedient expected utility
+    menu:      one (theta, b) per entry; a dirp entry carries the public budget.
+    payments:  (m,) the price, or for probr the deposit b.
+    kernel:    (m, n_omega, K * n_actions), K transfer blocks side by side,
+               column c recommending action c mod n_actions; every (entry,
+               state) row sums to 1. K = 2 for probr, 1 otherwise.
+    utilities: (m,) truthful obedient expected utility.
+    revenue:   the seller's expected take.
+    seller_budget: the stake M a probr refund pays out.
+    """
 
-    kind = "dirp"
-
-    def menu_index(self, theta: str) -> int:
-        try:
-            return self.theta_menu.index(theta)
-        except ValueError:
-            raise InputError(f"type {theta!r} is not on the mechanism's menu") from None
-
-
-@dataclass(frozen=True)
-class DepositReturnMechanism:
-    """(type, budget) menu; deposit the reported budget, get back deposit
-    minus the menu price after the recommendation."""
-
+    kind: str                   # "dirp", "depr", "single-round" or "probr"
     menu: tuple[tuple[str, float], ...]
-    payments: np.ndarray        # (m,) net price per menu entry
-    kernel: np.ndarray          # (m, n_omega, n_actions)
-    revenue: float
-    utilities: np.ndarray       # (m,)
-    kind: str = "depr"          # or "single-round"
-
-    def menu_index(self, theta: str, b: float) -> int:
-        for i, (t, lv) in enumerate(self.menu):
-            if t == theta and abs(lv - b) <= 1e-9 * max(1.0, abs(lv)):
-                return i
-        raise InputError(f"({theta!r}, {b:g}) is not on the mechanism's menu")
-
-
-@dataclass(frozen=True)
-class ProbReturnMechanism:
-    """(type, budget) menu with two-point transfers: per state the kernel
-    splits mass over (action, keep-deposit) and (action, return-b-plus-M)."""
-
-    menu: tuple[tuple[str, float], ...]
-    kernel_pay: np.ndarray      # (m, n_omega, n_actions): buyer forfeits deposit
-    kernel_refund: np.ndarray   # (m, n_omega, n_actions): buyer nets -M
-    seller_budget: float
-    revenue: float
+    payments: np.ndarray
+    kernel: np.ndarray
     utilities: np.ndarray
+    revenue: float
+    seller_budget: float = 0.0
 
-    kind = "probr"
+    def blocks(self, i: int) -> list[tuple[str | None, float, np.ndarray]]:
+        """(indicator, transfer, columns) for each transfer block of entry i:
+        the buyer pays `transfer` when the recommendation is drawn from
+        `columns` (n_omega, n_actions)."""
+        if self.kind != "probr":
+            return [(None, float(self.payments[i]), self.kernel[i])]
+        na = self.kernel.shape[-1] // 2
+        return [("+", float(self.payments[i]), self.kernel[i, :, :na]),
+                ("-", -float(self.seller_budget), self.kernel[i, :, na:])]
+
+    def cost(self, i: int) -> float:
+        """What the wallet must cover to take entry i: the price when it is
+        paid outright, the deposit otherwise."""
+        if self.kind in ("dirp", "single-round"):
+            return float(self.payments[i])
+        return float(self.menu[i][1])
+
+    def find(self, theta: str, b: float) -> int | None:
+        """The entry a truthful (theta, b) buyer reports, or None; a dirp
+        entry matches by type alone."""
+        for i, (t, lv) in enumerate(self.menu):
+            if t == theta and (self.kind == "dirp"
+                               or abs(lv - b) <= 1e-9 * max(1.0, abs(lv))):
+                return i
+        return None
 
     def menu_index(self, theta: str, b: float) -> int:
-        for i, (t, lv) in enumerate(self.menu):
-            if t == theta and abs(lv - b) <= 1e-9 * max(1.0, abs(lv)):
-                return i
-        raise InputError(f"({theta!r}, {b:g}) is not on the mechanism's menu")
+        i = self.find(theta, b)
+        if i is None:
+            raise InputError(f"({theta!r}, {b:g}) is not on the mechanism's menu")
+        return i
+
+    def take(self, i: int, weights: np.ndarray) -> float:
+        """Expected transfer from entry i under (unnormalized) state weights."""
+        return float(weights @ sum(t * cols.sum(axis=1) for _, t, cols in self.blocks(i)))
+
+    @property
+    def kernel_pay(self) -> np.ndarray:
+        """probr: the keep-the-deposit block of every entry."""
+        return self.kernel[..., :self.kernel.shape[-1] // 2]
+
+    @property
+    def kernel_refund(self) -> np.ndarray:
+        """probr: the return-deposit-plus-M block of every entry."""
+        return self.kernel[..., self.kernel.shape[-1] // 2:]
 
 
-Mechanism = DirectMechanism | DepositReturnMechanism | ProbReturnMechanism
+DirectMechanism = DepositReturnMechanism = ProbReturnMechanism = Mechanism = Menu
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +259,7 @@ def _add_deposit_model(lp: LinearProgram, instance: Instance, menu, weights, ic_
 def _solve_deposit_family(instance: Instance, menu, weights, ic_pairs, t_bounds, lp_name):
     """Solve and clean the common LP (see _add_deposit_model).
 
-    Returns (prices, kernel, utilities, revenue).
+    Returns (prices, kernel, utilities, revenue), Menu's field order.
     """
     mu_w = instance.omega_marginal()
     nw, na = len(instance.omega), len(instance.actions)
@@ -261,8 +273,7 @@ def _solve_deposit_family(instance: Instance, menu, weights, ic_pairs, t_bounds,
     utilities = np.array([
         float(np.einsum("w,wa,wa->", mu_w, kernel[i], entry_util[i])) - prices[i]
         for i in range(len(menu))])
-    revenue = float(weights @ prices)
-    return prices, kernel, utilities, revenue
+    return prices, kernel, utilities, float(weights @ prices)
 
 
 def _deposit_menu(instance: Instance):
@@ -273,7 +284,7 @@ def _deposit_menu(instance: Instance):
             np.array([marg[ti, bi] for ti, bi in pairs]))
 
 
-def solve_cm_depr(instance: Instance) -> DepositReturnMechanism:
+def solve_cm_depr(instance: Instance) -> Menu:
     """Optimal deposit-and-return menu (independent prior, private budget).
 
     The deposit makes over-reporting the budget physically impossible, so
@@ -287,14 +298,11 @@ def solve_cm_depr(instance: Instance) -> DepositReturnMechanism:
                 for j, (_, b2) in enumerate(menu)
                 if j != i and b2 <= b]
     t_bounds = [(-M, b) for _, b in menu]
-    prices, kernel, utilities, revenue = _solve_deposit_family(
-        instance, menu, weights, ic_pairs, t_bounds, "deposit-return")
-    return DepositReturnMechanism(
-        menu=_menu_labels(instance), payments=prices, kernel=kernel,
-        revenue=revenue, utilities=utilities, kind="depr")
+    return Menu("depr", _menu_labels(instance), *_solve_deposit_family(
+        instance, menu, weights, ic_pairs, t_bounds, "deposit-return"))
 
 
-def solve_cm_dirp(instance: Instance, public_budget: float) -> DirectMechanism:
+def solve_cm_dirp(instance: Instance, public_budget: float) -> Menu:
     """Optimal direct-payment menu when every buyer shares one public budget.
 
     Reports are types only; any report is affordable to anyone, so
@@ -309,12 +317,9 @@ def solve_cm_dirp(instance: Instance, public_budget: float) -> DirectMechanism:
     menu = [(ti, float(public_budget)) for ti in menu_thetas]
     ic_pairs = [(i, j) for i in range(len(menu)) for j in range(len(menu)) if j != i]
     t_bounds = [(-instance.seller_budget, public_budget)] * len(menu)
-    prices, kernel, utilities, revenue = _solve_deposit_family(
-        instance, menu, theta_weights[menu_thetas], ic_pairs, t_bounds, "direct-payment")
-    return DirectMechanism(
-        public_budget=float(public_budget),
-        theta_menu=tuple(instance.theta[ti] for ti in menu_thetas),
-        payments=prices, kernel=kernel, revenue=revenue, utilities=utilities)
+    return Menu("dirp", tuple((instance.theta[ti], b) for ti, b in menu),
+                *_solve_deposit_family(instance, menu, theta_weights[menu_thetas],
+                                       ic_pairs, t_bounds, "direct-payment"))
 
 
 def _affordability_pattern(instance: Instance, menu, weights) -> list[int]:
@@ -354,11 +359,13 @@ def _affordability_pattern(instance: Instance, menu, weights) -> list[int]:
     try:
         sol = lp.solve()
     except SolverFailure as exc:
+        if exc.status != INFEASIBLE:
+            raise
         raise PreconditionError("no affordability pattern is feasible") from exc
     return [int(np.argmax(sol.values[yj])) for yj in y]
 
 
-def solve_single_round(instance: Instance) -> DepositReturnMechanism:
+def solve_single_round(instance: Instance) -> Menu:
     """Best single direct payment with an *unverified* budget report.
 
     A deviation to report (theta', b') is available exactly when its price
@@ -380,18 +387,18 @@ def solve_single_round(instance: Instance) -> DepositReturnMechanism:
     pattern = [levels[k] for k in cutoffs]
     floors = [levels[k - 1] if k else -M for k in cutoffs]
 
-    def honest(prices, kernel, utilities, skipped_pairs):
+    def honest(mech, skipped_pairs):
         # A price may land exactly on the level just below its cutoff, where
         # a type the pattern ignored can in fact afford it; confirm those
         # types still have no incentive to grab it.
         for i, j in skipped_pairs:
             ti, b = menu[i]
-            if prices[j] > b + 1e-9:
+            if mech.payments[j] > b + 1e-9:
                 continue
-            dev = sum(max(float(mu_w @ (kernel[j][:, a] * instance.utility[:, ti, a2]))
+            dev = sum(max(float(mu_w @ (mech.kernel[j][:, a] * instance.utility[:, ti, a2]))
                           for a2 in range(len(instance.actions)))
                       for a in range(len(instance.actions)))
-            if dev - prices[j] > utilities[i] + 1e-6:
+            if dev - mech.payments[j] > mech.utilities[i] + 1e-6:
                 return False
         return True
 
@@ -405,14 +412,14 @@ def solve_single_round(instance: Instance) -> DepositReturnMechanism:
         t_bounds = [(floors[j] + (nudge if floors[j] > -M else 0.0), pattern[j])
                     for j in range(len(menu))]
         try:
-            prices, kernel, utilities, revenue = _solve_deposit_family(
-                instance, menu, weights, ic_pairs, t_bounds, "single-round")
-        except SolverFailure:
+            mech = Menu("single-round", _menu_labels(instance), *_solve_deposit_family(
+                instance, menu, weights, ic_pairs, t_bounds, "single-round"))
+        except SolverFailure as exc:
+            if exc.status != INFEASIBLE:
+                raise
             break  # pattern's price box is empty or infeasible
-        if honest(prices, kernel, utilities, skipped):
-            return DepositReturnMechanism(
-                menu=_menu_labels(instance), payments=prices, kernel=kernel,
-                revenue=revenue, utilities=utilities, kind="single-round")
+        if honest(mech, skipped):
+            return mech
         # otherwise lift prices just inside the open end and retry once
     raise PreconditionError("no affordability pattern is feasible")
 
@@ -517,7 +524,7 @@ def build_prob_return_lp(utility: np.ndarray, menu_types: list[tuple[int, float]
 
 def _solve_prob_return(shape: Instance, menu: list[tuple[int, float]],
                        cond: np.ndarray, joint: np.ndarray, M: float,
-                       eps: float = 0.0) -> ProbReturnMechanism:
+                       eps: float = 0.0) -> Menu:
     """Build, solve and clean the probabilistic-return LP for given belief
     data (see build_prob_return_lp), then price the cleaned menu: each
     entry's truthful utility under its own belief and the joint-weighted
@@ -529,20 +536,20 @@ def _solve_prob_return(shape: Instance, menu: list[tuple[int, float]],
     rows = np.concatenate([sol.values[p_pay.reshape(-1)].reshape(m, nw, na),
                            sol.values[p_ref.reshape(-1)].reshape(m, nw, na)], axis=-1)
     util = shape.utility[:, [ti for ti, _ in menu], :].transpose(1, 0, 2)
-    pay, refund = np.split(_clean_kernel(rows, cond, util), 2, axis=-1)
+    kernel = _clean_kernel(rows, cond, util)
+    pay, refund = np.split(kernel, 2, axis=-1)
     utilities = np.array([
         float(np.einsum("w,wa->", cond[i], pay[i] * (util[i] - b))
               + np.einsum("w,wa->", cond[i], refund[i] * (util[i] + M)))
         for i, (_, b) in enumerate(menu)])
     revenue = sum(float(np.einsum("w,wa->", joint[i], b * pay[i] - M * refund[i]))
                   for i, (_, b) in enumerate(menu))
-    return ProbReturnMechanism(
-        menu=tuple((shape.theta[ti], b) for ti, b in menu), kernel_pay=pay,
-        kernel_refund=refund, seller_budget=float(M), revenue=float(revenue),
-        utilities=utilities)
+    return Menu("probr", tuple((shape.theta[ti], b) for ti, b in menu),
+                np.array([float(b) for _, b in menu]), kernel, utilities,
+                float(revenue), float(M))
 
 
-def solve_cm_probr(instance: Instance) -> ProbReturnMechanism:
+def solve_cm_probr(instance: Instance) -> Menu:
     """Optimal probabilistic-return menu; correlated priors welcome.
 
     Always feasible: putting all mass on "refund the deposit plus M" at the
@@ -563,31 +570,18 @@ def solve_cm_probr(instance: Instance) -> ProbReturnMechanism:
 # ---------------------------------------------------------------------------
 
 
-def expected_revenue(mech: Mechanism, instance: Instance) -> float:
+def expected_revenue(mech: Menu, instance: Instance) -> float:
     """Seller's expected take when every buyer reports truthfully and obeys."""
-    marg = instance.type_marginal()
-    if mech.kind == "dirp":
-        by_theta = instance.theta_marginal()
-        return float(sum(by_theta[instance.theta_id(th)] * mech.payments[i]
-                         for i, th in enumerate(mech.theta_menu)))
-    if mech.kind in ("depr", "single-round"):
-        total = 0.0
-        for i, (th, b) in enumerate(mech.menu):
-            total += marg[instance.theta_id(th), instance.budget_id(b)] * mech.payments[i]
-        return float(total)
-    if mech.kind == "probr":
-        M = mech.seller_budget
-        total = 0.0
-        for i, (th, b) in enumerate(mech.menu):
-            ti, bi = instance.theta_id(th), instance.budget_id(b)
-            joint = instance.prior[:, ti, bi]
-            total += float(np.einsum(
-                "w,wa->", joint, b * mech.kernel_pay[i] - M * mech.kernel_refund[i]))
-        return total
-    raise InputError(f"unknown mechanism kind {mech.kind!r}")
+    total = 0.0
+    for ti, theta in enumerate(instance.theta):
+        for bi, b in enumerate(instance.budgets):
+            i = mech.find(theta, b)
+            if i is not None:
+                total += mech.take(i, instance.prior[:, ti, bi])
+    return float(total)
 
 
-def buyer_utility(mech: Mechanism, instance: Instance,
+def buyer_utility(mech: Menu, instance: Instance,
                   true_type: tuple[str, float], report: tuple[str, float],
                   deviation: dict | None = None) -> float:
     """Expected utility of a (theta, b) buyer making a given report.
@@ -600,63 +594,23 @@ def buyer_utility(mech: Mechanism, instance: Instance,
     """
     theta, b = true_type
     ti = instance.theta_id(theta)
-    bi = instance.budget_id(b)
-    belief = conditional_belief(instance, ti, bi)
+    belief = conditional_belief(instance, ti, instance.budget_id(b))
     util = instance.utility[:, ti, :]
     dev = deviation or {}
-
-    def play(key) -> int:
-        if key in dev:
-            return instance.action_id(dev[key])
-        base = key[0] if isinstance(key, tuple) else key
-        return instance.action_id(base)
-
-    if mech.kind == "dirp":
-        j = mech.menu_index(report[0])
-        price = float(mech.payments[j])
-        if price > b + 1e-9:
-            raise PreconditionError(
-                f"report {report[0]!r} costs {price:g}, beyond budget {b:g}")
-        value = sum(float(belief @ (mech.kernel[j][:, a_rec] * util[:, play(act)]))
-                    for a_rec, act in enumerate(instance.actions))
-        return value - price
-
-    if mech.kind in ("depr", "single-round"):
-        j = mech.menu_index(*report)
-        price = float(mech.payments[j])
-        if mech.kind == "depr":
-            if report[1] > b + 1e-9:
-                raise PreconditionError(
-                    f"cannot deposit {report[1]:g} out of budget {b:g}")
-        elif price > b + 1e-9:
-            raise PreconditionError(
-                f"report {report!r} costs {price:g}, beyond budget {b:g}")
-        value = sum(float(belief @ (mech.kernel[j][:, a_rec] * util[:, play(act)]))
-                    for a_rec, act in enumerate(instance.actions))
-        return value - price
-
-    if mech.kind == "probr":
-        j = mech.menu_index(*report)
-        if report[1] > b + 1e-9:
-            raise PreconditionError(
-                f"cannot deposit {report[1]:g} out of budget {b:g}")
-        deposit = report[1]
-        M = mech.seller_budget
-        value = 0.0
+    j = mech.menu_index(*report)
+    if mech.cost(j) > b + 1e-9:
+        raise PreconditionError(
+            f"report {report!r} needs {mech.cost(j):g} up front, beyond budget {b:g}")
+    value = 0.0
+    for sign, transfer, cols in mech.blocks(j):
         for a_rec, act in enumerate(instance.actions):
-            a_pay = play((act, "+"))
-            a_ref = play((act, "-"))
-            value += float(belief @ (mech.kernel_pay[j][:, a_rec]
-                                     * (util[:, a_pay] - deposit)))
-            value += float(belief @ (mech.kernel_refund[j][:, a_rec]
-                                     * (util[:, a_ref] + M)))
-        return value
-    raise InputError(f"unknown mechanism kind {mech.kind!r}")
+            played = instance.action_id(dev.get(act if sign is None else (act, sign), act))
+            value += float(belief @ (cols[:, a_rec] * (util[:, played] - transfer)))
+    return value
 
 
-def replicate_as_prob_return(mech: DepositReturnMechanism,
-                             seller_budget: float) -> ProbReturnMechanism:
-    """Convert a deposit-return menu into an equivalent two-point lottery.
+def replicate_as_prob_return(mech: Menu, seller_budget: float) -> Menu:
+    """Convert a one-price menu into an equivalent two-point lottery.
 
     Splitting each recommendation with weight lam = (t + M) / (b + M)
     between keep-deposit and refund makes every report's expected transfer
@@ -664,28 +618,25 @@ def replicate_as_prob_return(mech: DepositReturnMechanism,
     preserves truthfulness, participation, and revenue identically.
     """
     M = seller_budget
-    m = len(mech.menu)
-    pay = np.empty_like(mech.kernel)
-    refund = np.empty_like(mech.kernel)
+    lams = []
     for i, (th, b) in enumerate(mech.menu):
+        if len(mech.blocks(i)) != 1:
+            raise InputError("only a menu with one price per entry can be replicated")
         denom = b + M
-        if denom <= 0:
-            lam = 0.0  # b = M = 0 forces t = 0; all-refund nets zero too
-        else:
-            lam = (float(mech.payments[i]) + M) / denom
+        # b = M = 0 forces t = 0; all-refund nets zero too
+        lam = (float(mech.payments[i]) + M) / denom if denom > 0 else 0.0
         if not -1e-9 <= lam <= 1 + 1e-9:
             raise InputError(
                 f"price {mech.payments[i]:g} outside [-M, b] for menu entry "
                 f"({th!r}, {b:g}); cannot replicate")
-        lam = min(max(lam, 0.0), 1.0)
-        pay[i] = lam * mech.kernel[i]
-        refund[i] = (1.0 - lam) * mech.kernel[i]
-    return ProbReturnMechanism(
-        menu=mech.menu, kernel_pay=pay, kernel_refund=refund,
-        seller_budget=M, revenue=mech.revenue, utilities=mech.utilities.copy())
+        lams.append(min(max(lam, 0.0), 1.0))
+    lam = np.array(lams)[:, None, None]
+    return Menu("probr", mech.menu, np.array([float(b) for _, b in mech.menu]),
+                np.concatenate([lam * mech.kernel, (1.0 - lam) * mech.kernel], axis=-1),
+                mech.utilities.copy(), mech.revenue, M)
 
 
-def full_revelation_menu(instance: Instance) -> DepositReturnMechanism:
+def full_revelation_menu(instance: Instance) -> Menu:
     """Feasible deposit-return benchmark built without any LP: reveal the
     state exactly and charge each (theta, b) entry the largest price that
     survives truth-telling, namely
@@ -718,10 +669,8 @@ def full_revelation_menu(instance: Instance) -> DepositReturnMechanism:
         for i, (ti, bi) in enumerate(pairs)])
     marg = instance.type_marginal()
     weights = np.array([marg[ti, bi] for ti, bi in pairs])
-    return DepositReturnMechanism(
-        menu=_menu_labels(instance), payments=prices, kernel=kernel,
-        revenue=float(weights @ prices), utilities=informed - prices,
-        kind="depr")
+    return Menu("depr", _menu_labels(instance), prices, kernel,
+                informed - prices, float(weights @ prices))
 
 
 def revenue_cap(instance: Instance) -> float:
@@ -739,106 +688,126 @@ def revenue_cap(instance: Instance) -> float:
 # serialization (full precision; files must re-verify bit-for-bit)
 # ---------------------------------------------------------------------------
 
+# each kind's fields after kind, omega, actions and revenue, in file order
+_FIELDS = {"dirp": ("public_budget", "menu", "payments", "utilities", "kernel"),
+           "depr": ("menu", "utilities", "payments", "kernel"),
+           "single-round": ("menu", "utilities", "payments", "kernel"),
+           "probr": ("menu", "utilities", "seller_budget", "payments", "kernel")}
 
-def mechanism_to_json_dict(mech: Mechanism, instance: Instance) -> dict:
+
+def mechanism_to_json_dict(mech: Menu, instance: Instance) -> dict:
     """Plain-dict form of a mechanism, with state/action labels embedded so
-    the file stands on its own."""
-    base = {
-        "kind": mech.kind,
-        "omega": list(instance.omega),
-        "actions": list(instance.actions),
-        "revenue": float(mech.revenue),
-    }
-    if mech.kind == "dirp":
-        base["public_budget"] = float(mech.public_budget)
-        base["menu"] = list(mech.theta_menu)
-        base["payments"] = {th: float(mech.payments[i])
-                            for i, th in enumerate(mech.theta_menu)}
-        base["utilities"] = {th: float(mech.utilities[i])
-                             for i, th in enumerate(mech.theta_menu)}
-        base["kernel"] = [
-            {"entry": th, "omega": instance.omega[w], "action": instance.actions[a],
-             "p": float(mech.kernel[i, w, a])}
-            for i, th in enumerate(mech.theta_menu)
-            for w in range(len(instance.omega))
-            for a in range(len(instance.actions))
-            if mech.kernel[i, w, a] > 0.0]
-        return base
-    keys = [pair_key(th, b) for th, b in mech.menu]
-    base["menu"] = [{"theta": th, "b": float(b)} for th, b in mech.menu]
-    base["utilities"] = {k: float(mech.utilities[i]) for i, k in enumerate(keys)}
-    if mech.kind in ("depr", "single-round"):
-        base["payments"] = {k: float(mech.payments[i]) for i, k in enumerate(keys)}
-        base["kernel"] = [
-            {"entry": k, "omega": instance.omega[w], "action": instance.actions[a],
-             "p": float(mech.kernel[i, w, a])}
-            for i, k in enumerate(keys)
-            for w in range(len(instance.omega))
-            for a in range(len(instance.actions))
-            if mech.kernel[i, w, a] > 0.0]
-        return base
-    base["seller_budget"] = float(mech.seller_budget)
-    base["payments"] = {}
-    base["kernel"] = [
-        {"entry": k, "omega": instance.omega[w], "action": instance.actions[a],
-         "indicator": sgn, "p": float(block[i, w, a])}
-        for sgn, block in (("+", mech.kernel_pay), ("-", mech.kernel_refund))
-        for i, k in enumerate(keys)
-        for w in range(len(instance.omega))
-        for a in range(len(instance.actions))
-        if block[i, w, a] > 0.0]
-    return base
+    the file stands on its own. A dirp entry is keyed by its type, any other
+    by pair_key; probr kernel rows carry their block's indicator."""
+    dirp = mech.kind == "dirp"
+    keys = [th if dirp else pair_key(th, b) for th, b in mech.menu]
+    # rows in (block, entry, state, action) order, all "+" rows before "-"
+    m, nw, width = mech.kernel.shape
+    na = len(instance.actions)
+    blocks = mech.kernel.reshape(m, nw, width // na, na).transpose(2, 0, 1, 3)
+    signs = [sign for sign, _, _ in mech.blocks(0)] if m else []
+    kernel = [{"entry": keys[i], "omega": instance.omega[w], "action": instance.actions[a],
+               **({"indicator": signs[k]} if signs[k] else {}), "p": float(blocks[k, i, w, a])}
+              for k, i, w, a in np.argwhere(blocks > 0.0)]
+    fields = {
+        "public_budget": float(mech.menu[0][1]) if dirp else None,
+        "menu": keys if dirp else [{"theta": th, "b": float(b)} for th, b in mech.menu],
+        "payments": ({} if mech.kind == "probr"
+                     else {k: float(p) for k, p in zip(keys, mech.payments)}),
+        "utilities": {k: float(u) for k, u in zip(keys, mech.utilities)},
+        "seller_budget": float(mech.seller_budget),
+        "kernel": kernel}
+    out = {"kind": mech.kind, "omega": list(instance.omega),
+           "actions": list(instance.actions), "revenue": float(mech.revenue)}
+    out.update((name, fields[name]) for name in _FIELDS[mech.kind])
+    return out
 
 
-def mechanism_from_json_dict(data: dict, instance: Instance) -> Mechanism:
-    """Rebuild a mechanism against an instance (labels must agree)."""
+def _get(obj, key: str, where: str = "mechanism file"):
+    if not isinstance(obj, dict) or key not in obj:
+        raise InputError(f"{where} is missing field {key!r}")
+    return obj[key]
+
+
+def _number(value, what: str) -> float:
     try:
-        kind = data["kind"]
-        file_omega = list(data["omega"])
-        file_actions = list(data["actions"])
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"mechanism JSON is missing field {exc}") from None
-    if set(file_omega) != set(instance.omega) or set(file_actions) != set(instance.actions):
+        x = float(value)
+    except (TypeError, ValueError):
+        raise InputError(f"{what} must be a number, got {value!r}") from None
+    if not np.isfinite(x):
+        raise InputError(f"{what} must be finite, got {value!r}")
+    return x
+
+
+def _pick(labels, value, what: str) -> int:
+    if value not in labels:
+        raise InputError(f"{what} {value!r} is not known")
+    return labels.index(value)
+
+
+def mechanism_from_json_dict(data: dict, instance: Instance) -> Menu:
+    """Rebuild a mechanism against an instance (labels must agree). A file
+    that is not a well-formed menu of its kind raises InputError naming the
+    field: every number finite, every p in [0, 1], every (entry, state) row
+    summing to 1, and an indicator "+" or "-" on probr rows only."""
+    kind = _get(data, "kind")
+    if not isinstance(kind, str) or kind not in _FIELDS:
+        raise InputError(f"unknown mechanism kind {kind!r}")
+    for name in ("omega", "actions", "revenue") + _FIELDS[kind]:
+        _get(data, name)
+    try:
+        labels_agree = (set(data["omega"]) == set(instance.omega)
+                        and set(data["actions"]) == set(instance.actions))
+    except TypeError:
+        labels_agree = False
+    if not labels_agree:
         raise InputError("mechanism file's state/action labels do not match the instance")
-    nw, na = len(instance.omega), len(instance.actions)
-
-    def fill(rows, m, key_of, want_indicator):
-        pay = np.zeros((m, nw, na))
-        refund = np.zeros((m, nw, na)) if want_indicator else None
-        for row in rows:
-            i = key_of[row["entry"]]
-            w = instance.omega_id(row["omega"])
-            a = instance.action_id(row["action"])
-            if want_indicator:
-                (pay if row["indicator"] == "+" else refund)[i, w, a] = float(row["p"])
-            else:
-                pay[i, w, a] = float(row["p"])
-        return pay, refund
-
+    rows = data["menu"]
+    if not isinstance(rows, list) or not rows:
+        raise InputError("mechanism file's menu must be a nonempty list")
     if kind == "dirp":
-        menu = tuple(data["menu"])
-        key_of = {th: i for i, th in enumerate(menu)}
-        kernel, _ = fill(data["kernel"], len(menu), key_of, False)
-        return DirectMechanism(
-            public_budget=float(data["public_budget"]), theta_menu=menu,
-            payments=np.array([float(data["payments"][th]) for th in menu]),
-            kernel=kernel, revenue=float(data["revenue"]),
-            utilities=np.array([float(data["utilities"][th]) for th in menu]))
-    menu = tuple((row["theta"], float(row["b"])) for row in data["menu"])
-    keys = [pair_key(th, b) for th, b in menu]
-    key_of = {k: i for i, k in enumerate(keys)}
-    utilities = np.array([float(data["utilities"][k]) for k in keys])
-    if kind in ("depr", "single-round"):
-        kernel, _ = fill(data["kernel"], len(menu), key_of, False)
-        return DepositReturnMechanism(
-            menu=menu,
-            payments=np.array([float(data["payments"][k]) for k in keys]),
-            kernel=kernel, revenue=float(data["revenue"]),
-            utilities=utilities, kind=kind)
-    if kind == "probr":
-        pay, refund = fill(data["kernel"], len(menu), key_of, True)
-        return ProbReturnMechanism(
-            menu=menu, kernel_pay=pay, kernel_refund=refund,
-            seller_budget=float(data["seller_budget"]),
-            revenue=float(data["revenue"]), utilities=utilities)
-    raise InputError(f"unknown mechanism kind {kind!r}")
+        b = _number(data["public_budget"], "public_budget")
+        menu = tuple((th, b) for th in rows)
+    else:
+        menu = tuple((_get(row, "theta", "menu row"), _number(_get(row, "b", "menu row"), "menu b"))
+                     for row in rows)
+    for th, b in menu:
+        _pick(instance.theta, th, "menu type")
+        if kind != "dirp":
+            instance.budget_id(b)
+    keys = [th if kind == "dirp" else pair_key(th, b) for th, b in menu]
+
+    def table(name):
+        values = data[name]
+        if not isinstance(values, dict):
+            raise InputError(f"mechanism file's {name} must be an object")
+        return np.array([_number(_get(values, k, name), f"{name}[{k!r}]") for k in keys])
+
+    probr = kind == "probr"
+    na = len(instance.actions)
+    kernel = np.zeros((len(menu), len(instance.omega), 2 * na if probr else na))
+    if not isinstance(data["kernel"], list):
+        raise InputError("mechanism file's kernel must be a list")
+    for n, row in enumerate(data["kernel"]):
+        where = f"kernel row {n}"
+        i = _pick(keys, _get(row, "entry", where), f"{where} entry")
+        w = _pick(instance.omega, _get(row, "omega", where), f"{where} state")
+        a = _pick(instance.actions, _get(row, "action", where), f"{where} action")
+        sign = row.get("indicator")
+        if (sign not in ("+", "-")) if probr else ("indicator" in row):
+            raise InputError(f"{where} indicator {sign!r} is not "
+                             + ("'+' or '-'" if probr else "allowed outside probr"))
+        p = _number(_get(row, "p", where), f"{where} p")
+        if not 0.0 <= p <= 1.0:
+            raise InputError(f"{where} p {p!r} is outside [0, 1]")
+        kernel[i, w, a + (na if sign == "-" else 0)] = p
+    # a repeated menu entry leaves its second copy's rows empty: rejected here
+    bad = np.argwhere(np.abs(kernel.sum(axis=-1) - 1.0) > 1e-9)
+    if len(bad):
+        i, w = bad[0]
+        raise InputError(f"kernel of entry {keys[i]!r} in state {instance.omega[w]!r} "
+                         "does not sum to 1")
+    return Menu(kind, menu,
+                np.array([b for _, b in menu]) if probr else table("payments"),
+                kernel, table("utilities"), _number(data["revenue"], "revenue"),
+                _number(data["seller_budget"], "seller_budget") if probr else 0.0)

@@ -14,7 +14,7 @@ more than her own stake M on any structurally reachable path.
 
 to_revelation() collapses any tree into an equivalent one whose single buyer
 decision is an up-front report of (type, budget); mechanism_to_protocol()
-embeds the menu mechanisms from .mechanisms as three-layer trees.
+embeds a Menu from .mechanisms as a report-pay-signal tree.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, ProtocolInvalidError
-from .mechanisms import (DepositReturnMechanism, DirectMechanism, Mechanism,
-                         ProbReturnMechanism)
+from .mechanisms import Menu
 from .model import Instance, conditional_belief, positive_types
 
 TIE_TOL = 1e-9       # value gaps below this count as indifference
@@ -401,50 +400,22 @@ def to_revelation(tree: Node, instance: Instance) -> Node:
 # ---------------------------------------------------------------------------
 
 
-def _signal_layer(instance: Instance, kernel: np.ndarray,
-                  tails: list[Node] | None = None) -> SellerNode:
-    """Seller node announcing a recommendation: one child per column of the
-    kernel (n_omega, n_cols); tails optionally replace the bare leaves."""
-    ncols = kernel.shape[1]
-    children = tails if tails is not None else [Leaf() for _ in range(ncols)]
-    transitions = {instance.omega[w]: kernel[w].astype(float).copy()
-                   for w in range(kernel.shape[0])}
-    return SellerNode(children=list(children), transitions=transitions)
-
-
-def mechanism_to_protocol(mech: Mechanism, instance: Instance) -> Node:
-    """Embed a menu mechanism as a tree: a single buyer node (the report)
-    over per-report payment plumbing and a recommendation layer."""
+def mechanism_to_protocol(mech: Menu, instance: Instance) -> Node:
+    """Embed a menu mechanism as a tree: a buyer node (the report), then per
+    report a transfer of what the wallet must cover up front, a seller node
+    announcing the recommendation (one child per kernel column) and, under a
+    column whose block transfer differs from that cost, the difference."""
     children: list[Node] = []
     labels: list[str] = []
-    if isinstance(mech, DirectMechanism):
-        for i, th in enumerate(mech.theta_menu):
-            children.append(TransferNode(
-                amount=float(mech.payments[i]),
-                child=_signal_layer(instance, mech.kernel[i])))
-            labels.append(th)
-    elif isinstance(mech, DepositReturnMechanism):
-        for i, (th, b) in enumerate(mech.menu):
-            inner: Node = _signal_layer(instance, mech.kernel[i])
-            refund = float(b) - float(mech.payments[i])
-            if refund != 0.0:
-                inner = TransferNode(amount=-refund, child=inner)
-            children.append(TransferNode(amount=float(b), child=inner))
-            labels.append(f"{th}|{b:.12g}")
-    elif isinstance(mech, ProbReturnMechanism):
-        M = mech.seller_budget
-        for i, (th, b) in enumerate(mech.menu):
-            na = mech.kernel_pay.shape[2]
-            cols = np.concatenate([mech.kernel_pay[i], mech.kernel_refund[i]],
-                                  axis=1)  # (nw, 2*na): forfeit block, refund block
-            tails: list[Node] = [Leaf() for _ in range(na)]
-            tails += [TransferNode(amount=-(float(b) + M), child=Leaf())
-                      for _ in range(na)]
-            children.append(TransferNode(
-                amount=float(b), child=_signal_layer(instance, cols, tails)))
-            labels.append(f"{th}|{b:.12g}")
-    else:
-        raise InputError(f"cannot embed mechanism of kind {mech.kind!r}")
+    for i, (th, b) in enumerate(mech.menu):
+        cost = mech.cost(i)
+        tails: list[Node] = [
+            Leaf() if t == cost else TransferNode(amount=t - cost, child=Leaf())
+            for _, t, cols in mech.blocks(i) for _ in range(cols.shape[1])]
+        transitions = dict(zip(instance.omega, mech.kernel[i].astype(float)))
+        children.append(TransferNode(amount=cost, child=SellerNode(
+            children=tails, transitions=transitions)))
+        labels.append(th if mech.kind == "dirp" else f"{th}|{b:.12g}")
     return BuyerNode(children=children, labels=labels)
 
 

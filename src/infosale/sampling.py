@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import InputError, PreconditionError
 from . import mechanisms
-from .mechanisms import ProbReturnMechanism
+from .mechanisms import Menu
 from .model import Instance
 
 Triple = tuple[str, str, float]  # (type label, state label, budget value)
@@ -182,7 +182,7 @@ def draw_samples(oracle, n: int, live: Triple, instance: Instance) -> EmpiricalP
 
 
 def solve_epsilon_lp(empirical: EmpiricalPrior, shape: Instance, M: float,
-                     eps: float) -> ProbReturnMechanism:
+                     eps: float) -> Menu:
     """Probabilistic-return LP over the empirical estimates with eps slack.
 
     The objective weighs transfers by the empirical joint; the constraint
@@ -230,7 +230,7 @@ def run_mechanism1(oracle, shape: Instance, M: float, n: int, eps: float,
     mech = solve_epsilon_lp(empirical, shape, M, eps)
     entry = mech.menu_index(theta1, float(b1))
     w1 = shape.omega_id(omega1)
-    row = np.concatenate([mech.kernel_pay[entry][w1], mech.kernel_refund[entry][w1]])
+    row = mech.kernel[entry][w1]
     total = row.sum()
     if total <= 0:
         raise PreconditionError("live state has an empty recommendation row")
@@ -240,8 +240,7 @@ def run_mechanism1(oracle, shape: Instance, M: float, n: int, eps: float,
     indicator = "+" if pick < na else "-"
     action = shape.actions[pick % na]
     transfer = float(b1) if indicator == "+" else -float(M)
-    expected = float(b1) * mech.kernel_pay[entry][w1].sum() \
-        - float(M) * mech.kernel_refund[entry][w1].sum()
+    expected = sum(t * cols[w1].sum() for _, t, cols in mech.blocks(entry))
     return {"action": action, "indicator": indicator, "transfer": transfer,
             "expected_transfer": float(expected / total),
             "mechanism": mech, "empirical": empirical}

@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .mechanisms import (DepositReturnMechanism, DirectMechanism, Mechanism,
-                         ProbReturnMechanism)
+from .mechanisms import Menu
 from .model import Instance, conditional_belief, positive_types
 
 DEFAULT_TOL = 1e-6
@@ -105,35 +104,12 @@ def _as_view(prior):
 # ---------------------------------------------------------------------------
 
 
-def _menu_of(mech: Mechanism, instance: Instance):
-    """Menu as (theta index, budget value, menu position) triples."""
-    if isinstance(mech, DirectMechanism):
-        return [(instance.theta_id(th), float(mech.public_budget), i)
-                for i, th in enumerate(mech.theta_menu)]
-    return [(instance.theta_id(th), float(b), i)
-            for i, (th, b) in enumerate(mech.menu)]
+def _worse(slack: float, worst: float) -> bool:
+    """Whether slack replaces worst: a NaN slack counts as the worst."""
+    return bool(slack < worst or (np.isnan(slack) and not np.isnan(worst)))
 
 
-def _find_entry(mech: Mechanism, instance: Instance, ti: int, b: float):
-    """Menu position the (ti, b) buyer reports truthfully, or None."""
-    if isinstance(mech, DirectMechanism):
-        th = instance.theta[ti]
-        return mech.theta_menu.index(th) if th in mech.theta_menu else None
-    for i, (th, lv) in enumerate(mech.menu):
-        if instance.theta_id(th) == ti and abs(lv - b) <= 1e-9 * max(1.0, abs(lv)):
-            return i
-    return None
-
-
-def _affordable(mech: Mechanism, entry: int, b: float) -> bool:
-    if isinstance(mech, DirectMechanism):
-        return float(mech.payments[entry]) <= b + 1e-9
-    if mech.kind == "single-round":
-        return float(mech.payments[entry]) <= b + 1e-9
-    return float(mech.menu[entry][1]) <= b + 1e-9  # deposit-based kinds
-
-
-def _entry_values(mech: Mechanism, instance: Instance, belief: np.ndarray,
+def _entry_values(mech: Menu, instance: Instance, belief: np.ndarray,
                   ti: int, entry: int):
     """(obedient value, best-deviation value, per-recommendation rows).
 
@@ -146,14 +122,7 @@ def _entry_values(mech: Mechanism, instance: Instance, belief: np.ndarray,
     rows = []
     obedient = 0.0
     best = 0.0
-    if isinstance(mech, ProbReturnMechanism):
-        blocks = [("+", mech.kernel_pay[entry], float(mech.menu[entry][1])),
-                  ("-", mech.kernel_refund[entry], -float(mech.seller_budget))]
-    else:
-        t = float(mech.payments[entry])
-        kernel = mech.kernel[entry]
-        blocks = [(None, kernel, t)]
-    for sign, kernel, transfer in blocks:
+    for sign, transfer, kernel in mech.blocks(entry):
         for a in range(na):
             v = belief * kernel[:, a]
             mass = float(v.sum())
@@ -172,7 +141,7 @@ def _entry_values(mech: Mechanism, instance: Instance, belief: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def check_ic(mechanism: Mechanism, prior, eps: float = 0.0,
+def check_ic(mechanism: Menu, prior, eps: float = 0.0,
              tol: float | None = None) -> VerificationReport:
     """Truth beats every affordable misreport, even with free action remaps."""
     tol = _tol(tol)
@@ -181,27 +150,25 @@ def check_ic(mechanism: Mechanism, prior, eps: float = 0.0,
     worst, worst_case = np.inf, "no deviation available"
     for ti, bi in view.pairs():
         b = float(inst.budgets[bi])
-        truth = _find_entry(mechanism, inst, ti, b)
+        truth = mechanism.find(inst.theta[ti], b)
         if truth is None:
             worst, worst_case = -np.inf, f"({inst.theta[ti]},{b:g}) missing from menu"
             break
         belief = view.belief(ti, bi)
         truthful, _, _ = _entry_values(mechanism, inst, belief, ti, truth)
-        for _, _, entry in _menu_of(mechanism, inst):
-            if entry == truth or not _affordable(mechanism, entry, b):
+        for entry in range(len(mechanism.menu)):
+            if entry == truth or mechanism.cost(entry) > b + 1e-9:
                 continue
             _, deviation, _ = _entry_values(mechanism, inst, belief, ti, entry)
             slack = truthful - deviation
-            if slack < worst:
+            if _worse(slack, worst):
                 worst = slack
                 worst_case = (f"({inst.theta[ti]},{b:g}) reporting menu entry {entry}")
     passed = bool(worst >= -eps - tol)
-    return VerificationReport([CheckResult(
-        "ic", passed, float(worst if np.isfinite(worst) else worst),
-        worst_case, eps, tol)])
+    return VerificationReport([CheckResult("ic", passed, float(worst), worst_case, eps, tol)])
 
 
-def check_ir(mechanism: Mechanism, prior, eps: float = 0.0,
+def check_ir(mechanism: Menu, prior, eps: float = 0.0,
              tol: float | None = None) -> VerificationReport:
     """Truthful participation beats acting on the prior belief alone."""
     tol = _tol(tol)
@@ -210,7 +177,7 @@ def check_ir(mechanism: Mechanism, prior, eps: float = 0.0,
     worst, worst_case = np.inf, "no types"
     for ti, bi in view.pairs():
         b = float(inst.budgets[bi])
-        truth = _find_entry(mechanism, inst, ti, b)
+        truth = mechanism.find(inst.theta[ti], b)
         if truth is None:
             worst, worst_case = -np.inf, f"({inst.theta[ti]},{b:g}) missing from menu"
             break
@@ -219,14 +186,14 @@ def check_ir(mechanism: Mechanism, prior, eps: float = 0.0,
         outside = float(max(belief @ inst.utility[:, ti, a]
                             for a in range(len(inst.actions))))
         slack = truthful - outside
-        if slack < worst:
+        if _worse(slack, worst):
             worst, worst_case = slack, f"({inst.theta[ti]},{b:g})"
     passed = bool(worst >= -eps - tol)
     return VerificationReport([CheckResult("ir", passed, float(worst),
                                            worst_case, eps, tol)])
 
 
-def check_obedience(mechanism: Mechanism, prior, eps: float = 0.0,
+def check_obedience(mechanism: Menu, prior, eps: float = 0.0,
                     tol: float | None = None,
                     aggregate: bool | None = None) -> VerificationReport:
     """Recommended actions are worth taking.
@@ -245,7 +212,7 @@ def check_obedience(mechanism: Mechanism, prior, eps: float = 0.0,
     worst, worst_case = np.inf, "no recommendations"
     for ti, bi in view.pairs():
         b = float(inst.budgets[bi])
-        truth = _find_entry(mechanism, inst, ti, b)
+        truth = mechanism.find(inst.theta[ti], b)
         if truth is None:
             worst, worst_case = -np.inf, f"({inst.theta[ti]},{b:g}) missing from menu"
             break
@@ -254,12 +221,12 @@ def check_obedience(mechanism: Mechanism, prior, eps: float = 0.0,
         if aggregate:
             regret = sum(mass * (dev - ob) for _, mass, ob, dev in rows)
             slack = -regret
-            if slack < worst:
+            if _worse(slack, worst):
                 worst, worst_case = slack, f"({inst.theta[ti]},{b:g})"
         else:
             for label, _, ob, dev in rows:
                 slack = ob - dev
-                if slack < worst:
+                if _worse(slack, worst):
                     worst = slack
                     worst_case = f"({inst.theta[ti]},{b:g}) recommended {label}"
     passed = bool(worst >= -eps - tol)
@@ -268,74 +235,50 @@ def check_obedience(mechanism: Mechanism, prior, eps: float = 0.0,
         mode="aggregate" if aggregate else "per-recommendation")])
 
 
-def check_budget(mechanism: Mechanism, seller_budget: float | None = None,
+def check_budget(mechanism: Menu, seller_budget: float | None = None,
                  tol: float | None = None) -> VerificationReport:
     """Prices stay inside [−M, b] per menu entry; the probabilistic-return
     kind is in-bounds by construction and reported as such."""
     tol = _tol(tol)
     worst, worst_case = np.inf, "structural"
-    if isinstance(mechanism, ProbReturnMechanism):
+    if mechanism.kind == "probr":
         worst = 0.0
     else:
-        if isinstance(mechanism, DirectMechanism):
-            caps = [(th, float(mechanism.public_budget), float(mechanism.payments[i]))
-                    for i, th in enumerate(mechanism.theta_menu)]
-        else:
-            caps = [(th, float(b), float(mechanism.payments[i]))
-                    for i, (th, b) in enumerate(mechanism.menu)]
-        for th, b, t in caps:
+        for (th, b), t in zip(mechanism.menu, mechanism.payments):
             slack = b - t
-            if slack < worst:
+            if _worse(slack, worst):
                 worst, worst_case = slack, f"price {t:g} vs budget {b:g} at {th!r}"
             if seller_budget is not None:
                 slack = t + seller_budget
-                if slack < worst:
+                if _worse(slack, worst):
                     worst, worst_case = slack, f"price {t:g} vs stake {seller_budget:g} at {th!r}"
     return VerificationReport([CheckResult("budget", bool(worst >= -tol),
                                            float(worst), worst_case, 0.0, tol)])
 
 
-def check_revenue_cap(mechanism: Mechanism, instance, tol: float | None = None
+def check_revenue_cap(mechanism: Menu, instance, tol: float | None = None
                       ) -> VerificationReport:
     """Revenue can't beat sum of min(budget, value of full information)."""
     tol = _tol(tol)
     view = _as_view(instance)
     inst = view.instance
-    cap = 0.0
+    cap = revenue = 0.0
     for ti, bi in view.pairs():
         belief = view.belief(ti, bi)
         uth = inst.utility[:, ti, :]
         full = float((belief[:, None] * uth).max(axis=1).sum())
         outside = float(max(belief @ uth[:, a] for a in range(len(inst.actions))))
         cap += view.weight(ti, bi) * min(float(inst.budgets[bi]), full - outside)
-    revenue = _view_revenue(mechanism, view)
+        entry = mechanism.find(inst.theta[ti], float(inst.budgets[bi]))
+        if entry is not None:
+            revenue += view.weight(ti, bi) * mechanism.take(entry, belief)
     slack = cap - revenue
     return VerificationReport([CheckResult(
         "revenue-cap", bool(slack >= -tol), float(slack),
         f"revenue {revenue:.6g} vs cap {cap:.6g}", 0.0, tol)])
 
 
-def _view_revenue(mechanism: Mechanism, view) -> float:
-    inst = view.instance
-    total = 0.0
-    for ti, bi in view.pairs():
-        b = float(inst.budgets[bi])
-        entry = _find_entry(mechanism, inst, ti, b)
-        if entry is None:
-            continue
-        if isinstance(mechanism, ProbReturnMechanism):
-            belief = view.belief(ti, bi)
-            dep = float(mechanism.menu[entry][1])
-            M = float(mechanism.seller_budget)
-            take = float(belief @ (dep * mechanism.kernel_pay[entry].sum(axis=1)
-                                   - M * mechanism.kernel_refund[entry].sum(axis=1)))
-        else:
-            take = float(mechanism.payments[entry])
-        total += view.weight(ti, bi) * take
-    return total
-
-
-def verify_all(mechanism: Mechanism, prior, eps: float = 0.0,
+def verify_all(mechanism: Menu, prior, eps: float = 0.0,
                tol: float | None = None) -> VerificationReport:
     """All checks against one prior; composite passes iff every check does."""
     tol = _tol(tol)

@@ -198,6 +198,14 @@ def test_committed_mechanism_files(name, argv, box_file, tmp_path, capsys):
     code, _ = run_cli(["verify", "--instance", str(box_file),
                        "--mechanism-file", str(committed)], capsys)
     assert code == 0
+    # verify and a seeded simulation print the bytes pinned from that version
+    pinned = json.loads((FIXTURES / "box_cli_stdout.json").read_text())[name]
+    _, out = run_cli(["verify", "--instance", str(box_file), "--mechanism-file",
+                      str(committed), "--eps", "0"], capsys)
+    assert out == pinned["verify"]
+    _, out = run_cli(["simulate", "--instance", str(box_file), "--mechanism-file",
+                      str(committed), "--trials", "2000", "--seed", "5"], capsys)
+    assert out == pinned["simulate"]
     fresh = tmp_path / "fresh.json"
     code, _ = run_cli(["solve", "--instance", str(box_file), "--mechanism", *argv,
                        "--out", str(fresh)], capsys)
@@ -214,3 +222,46 @@ def test_tolerance_env_ends_with_the_call(box_file, capsys, monkeypatch):
     assert code == 0
     assert lpcore.FEAS_TOL == 1e-6
     assert verify_mod.DEFAULT_TOL == 1e-6
+
+
+# one fault per file: the fixture it starts from, the change, and a word the
+# error message must contain
+MALFORMED = {
+    "kernel tripled": ("box_depr", lambda d: [r.update(p=3 * r["p"]) for r in d["kernel"]], "p"),
+    "NaN entry": ("box_depr", lambda d: d["kernel"][0].update(p=float("nan")), "p"),
+    "row dropped": ("box_dirp_50", lambda d: d["kernel"].pop(0), "sum to 1"),
+    "no kernel": ("box_probr", lambda d: d.pop("kernel"), "kernel"),
+    "kernel object": ("box_depr", lambda d: d.update(kernel={"rows": d["kernel"]}), "kernel"),
+    "unknown entry": ("box_depr", lambda d: d["kernel"][0].update(entry="9|9"), "entry"),
+    "empty payments": ("box_depr", lambda d: d.update(payments={}), "payments"),
+    "p not a number": ("box_single_round", lambda d: d["kernel"][0].update(p="abc"), "p"),
+    "menu row without b": ("box_probr", lambda d: d["menu"][0].pop("b"), "'b'"),
+    "b off the levels": ("box_probr", lambda d: d["menu"][0].update(b=60.0), "budget 60"),
+    "no seller_budget": ("box_probr", lambda d: d.pop("seller_budget"), "seller_budget"),
+    "no public_budget": ("box_dirp_50", lambda d: d.pop("public_budget"), "public_budget"),
+    "indicator ?": ("box_probr", lambda d: d["kernel"][0].update(indicator="?"), "indicator"),
+    "indicator on depr": ("box_depr", lambda d: d["kernel"][0].update(indicator="+"),
+                          "indicator"),
+}
+
+
+@pytest.mark.parametrize("fault", list(MALFORMED))
+def test_malformed_mechanism_file_is_an_input_error(fault, box_file, tmp_path, capsys):
+    name, mutate, word = MALFORMED[fault]
+    data = json.loads((FIXTURES / f"{name}.mech.json").read_text())
+    mutate(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code = main(["verify", "--instance", str(box_file), "--mechanism-file", str(bad),
+                 "--eps", "0"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and word in err
+    assert "Traceback" not in err
+
+
+def test_solver_breakdown_exits_4(box_file, capsys, monkeypatch):
+    monkeypatch.setattr(lpcore, "FEAS_TOL", -1.0)
+    code, _ = run_cli(["solve", "--instance", str(box_file),
+                       "--mechanism", "single-round"], capsys)
+    assert code == 4

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from infosale import SolverFailure
+from infosale import lpcore
 from infosale.lpcore import LinearProgram
 
 
@@ -121,3 +122,24 @@ def test_recheck_reports_integrality_violation():
     worst, name = lp.max_violation(np.array([0.0, 1.0, 0.5, 0.0]))
     assert worst == pytest.approx(0.5)
     assert name == "integrality:x2"
+
+
+def test_failure_status_names_the_cause(monkeypatch):
+    # an infeasible and an unbounded program say so; a point that fails the
+    # independent re-check is a solver breakdown, not a bad input
+    lp = LinearProgram("bad")
+    x = lp.add_variable("x", 0.0, 1.0)
+    lp.add_constraint("impossible", [(x, 1.0)], ">=", 2.0)
+    with pytest.raises(SolverFailure) as failure:
+        lp.solve()
+    assert failure.value.status == "infeasible"
+    lp = LinearProgram("unbounded")
+    lp.set_objective([(lp.add_variable("x", 0.0), 1.0)])
+    with pytest.raises(SolverFailure) as failure:
+        lp.solve()
+    assert failure.value.status == "unbounded"
+    monkeypatch.setattr(lpcore, "FEAS_TOL", -1.0)
+    with pytest.raises(SolverFailure) as failure:
+        _knapsack(False).solve()
+    assert failure.value.status == "recheck"
+    assert SolverFailure("plain").status == "error"

@@ -1,14 +1,19 @@
 """Property tests for the contracts the solvers and the tree evaluator
 promise on arbitrary inputs, driven by seeded random instances."""
 
+import dataclasses
+import json
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis.strategies import floats, integers
 
 from infosale import (BuyerNode, SellerNode, TransferNode, check_ir, evaluate,
-                      expected_revenue, full_revelation_menu, outside_option,
-                      positive_types, replicate_as_prob_return, revenue_cap,
-                      solve_cm_depr, solve_cm_probr, to_revelation, verify_all)
+                      expected_revenue, full_revelation_menu,
+                      mechanism_from_json_dict, mechanism_to_json_dict,
+                      outside_option, positive_types, replicate_as_prob_return,
+                      revenue_cap, solve_cm_depr, solve_cm_dirp, solve_cm_probr,
+                      solve_single_round, to_revelation, verify_all)
 from infosale.random_instances import (random_correlated_instance,
                                        random_independent_instance,
                                        random_tree)
@@ -147,3 +152,25 @@ def test_menu_covers_every_positive_type(seed):
     want = {(inst.theta[ti], float(inst.budgets[bi]))
             for ti, bi in positive_types(inst)}
     assert want == set(mech.menu)
+
+
+@given(seeds)
+@settings(max_examples=12, deadline=None)
+def test_mechanism_files_round_trip(seed):
+    # every kind, the LP-free menu and its replication, on small independent
+    # and correlated instances: reading a written file gives back the same
+    # mechanism field by field, and writing it again gives the same bytes
+    rng = np.random.default_rng(seed)
+    ind = random_independent_instance(rng, 3, 3, 3, 2)
+    cor = random_correlated_instance(rng, 3, 3, 3, 2)
+    cases = [(ind, solve_cm_depr(ind)), (ind, solve_single_round(ind)),
+             (ind, solve_cm_dirp(ind, ind.budgets[-1])), (ind, solve_cm_probr(ind)),
+             (cor, solve_cm_probr(cor)), (cor, full_revelation_menu(cor)),
+             (cor, replicate_as_prob_return(full_revelation_menu(cor), cor.seller_budget))]
+    for inst, mech in cases:
+        text = json.dumps(mechanism_to_json_dict(mech, inst))
+        back = mechanism_from_json_dict(json.loads(text), inst)
+        for f in dataclasses.fields(mech):
+            x, y = getattr(mech, f.name), getattr(back, f.name)
+            assert np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y, f.name
+        assert json.dumps(mechanism_to_json_dict(back, inst)) == text

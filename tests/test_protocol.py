@@ -7,9 +7,10 @@ from infosale import (BuyerNode, Leaf, ProtocolInvalidError, SellerNode,
                       TransferNode, evaluate, expected_revenue,
                       mechanism_to_protocol, outside_option, parse_protocol,
                       protocol_to_json_dict, simulate, solve_cm_depr,
-                      solve_cm_dirp, solve_cm_probr, to_revelation,
-                      two_option_tree)
-from infosale.random_instances import random_correlated_instance, random_tree
+                      solve_cm_dirp, solve_cm_probr, solve_single_round,
+                      to_revelation, two_option_tree)
+from infosale.random_instances import (random_correlated_instance,
+                                       random_independent_instance, random_tree)
 
 
 def full_info_seller(instance, after=None):
@@ -119,6 +120,17 @@ def test_mechanism_embedding_preserves_revenue(box, solver):
     assert res.revenue == pytest.approx(expected_revenue(mech, box), abs=1e-10)
     for (theta, b), v in res.buyer_value.items():
         assert v >= outside_option(box, theta, b) - 1e-9
+
+
+def test_single_round_embedding_charges_the_price(rng):
+    # a single-round entry is open to any wallet its price fits, so the tree
+    # charges that price up front, with no deposit to hand back
+    for _ in range(5):
+        inst = random_independent_instance(rng)
+        mech = solve_single_round(inst)
+        tree = mechanism_to_protocol(mech, inst)
+        assert [child.amount for child in tree.children] == list(mech.payments)
+        assert abs(evaluate(tree, inst).revenue - mech.revenue) <= 1e-9
 
 
 # -- revelation collapse ----------------------------------------------------------

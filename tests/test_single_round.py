@@ -5,10 +5,11 @@ chose the pattern with one mixed-integer program."""
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis.strategies import integers
 
-from infosale import (PreconditionError, SolverFailure, revenue_cap,
+from infosale import (PreconditionError, lpcore, SolverFailure, revenue_cap,
                       solve_single_round, verify_all)
 from infosale.mechanisms import _deposit_menu, _solve_deposit_family
 from infosale.random_instances import random_independent_instance
@@ -97,3 +98,12 @@ def test_single_round_solves_beyond_pattern_enumeration():
     mech = solve_single_round(inst)
     assert verify_all(mech, inst, eps=0.0, tol=1e-6).passed
     assert mech.revenue <= revenue_cap(inst) + 1e-6
+
+
+def test_recheck_failure_is_not_a_precondition(box, monkeypatch):
+    # a solver point that fails the re-check is a breakdown (CLI exit 4), not
+    # an instance without a feasible affordability pattern (exit 3)
+    monkeypatch.setattr(lpcore, "FEAS_TOL", -1.0)
+    with pytest.raises(SolverFailure) as failure:
+        solve_single_round(box)
+    assert failure.value.status == "recheck"

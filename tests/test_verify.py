@@ -113,3 +113,11 @@ def test_report_json_shape(box):
 def test_rejects_non_prior_argument(box):
     with pytest.raises(InputError):
         verify_all(solve_cm_depr(box), object(), eps=0.0)
+
+
+def test_nan_fails_verification(hand, box):
+    # NaN compares false against every bound, so it must count as the worst
+    kernel = hand.kernel.copy()
+    kernel[1, 0, 0] = np.nan
+    assert not verify_all(dataclasses.replace(hand, kernel=kernel), box, eps=0.0).passed
+    assert not check_budget(priced(hand, [50.0, np.nan]), box.seller_budget).passed
