@@ -57,6 +57,8 @@ def _read_json(path: str) -> dict:
         raise InputError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise InputError(f"{path} nests too deeply to read") from None
 
 
 def _load_instance(path: str) -> Instance:

@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 import infosale.verify as verify_mod
-from infosale import lpcore, load_instance, mechanism_from_json_dict
+from infosale import (lpcore, load_instance, mechanism_from_json_dict,
+                      protocol_to_json_dict, two_option_tree)
 from infosale.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -265,3 +266,35 @@ def test_solver_breakdown_exits_4(box_file, capsys, monkeypatch):
     code, _ = run_cli(["solve", "--instance", str(box_file),
                        "--mechanism", "single-round"], capsys)
     assert code == 4
+
+
+def test_long_simulations_print_pinned_bytes(box_file, tmp_path, capsys):
+    # 25,000-trial runs of the four box files and the two-option tree print
+    # the bytes pinned from the scalar one-trial-at-a-time simulate
+    pinned = json.loads((FIXTURES / "box_simulate_25k.json").read_text())
+    proto = tmp_path / "two_option.protocol.json"
+    proto.write_text(json.dumps(protocol_to_json_dict(two_option_tree())))
+    sources = {name: ["--mechanism-file", str(FIXTURES / f"{name}.mech.json")]
+               for name in ("box_dirp_50", "box_depr", "box_probr", "box_single_round")}
+    sources["two_option_tree"] = ["--protocol", str(proto)]
+    assert sorted(sources) == sorted(pinned)
+    for name, source in sources.items():
+        code, out = run_cli(["simulate", "--instance", str(box_file), *source,
+                             "--trials", "25000", "--seed", "7"], capsys)
+        assert code == 0
+        assert out == pinned[name], name
+
+
+def test_deeply_nested_protocol_is_an_input_error(box_file, tmp_path, capsys):
+    # json.dump itself recurses too deep to write this chain, so it is spelled
+    # out as text
+    depth = 3000
+    deep = tmp_path / "deep.protocol.json"
+    deep.write_text('{"kind": "transfer", "amount": 0.0, "child": ' * depth
+                    + '{"kind": "leaf"}' + "}" * depth)
+    code = main(["simulate", "--instance", str(box_file), "--protocol", str(deep),
+                 "--trials", "10"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(deep) in err
+    assert "Traceback" not in err

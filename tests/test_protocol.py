@@ -8,7 +8,8 @@ from infosale import (BuyerNode, Leaf, ProtocolInvalidError, SellerNode,
                       mechanism_to_protocol, outside_option, parse_protocol,
                       protocol_to_json_dict, simulate, solve_cm_depr,
                       solve_cm_dirp, solve_cm_probr, solve_single_round,
-                      to_revelation, two_option_tree)
+                      to_revelation, treasure_box, two_option_tree)
+from infosale.protocol import SIM_BLOCK, _seller_rows
 from infosale.random_instances import (random_correlated_instance,
                                        random_independent_instance, random_tree)
 
@@ -151,6 +152,21 @@ def test_revelation_preserves_random_trees(rng):
         assert r1 == pytest.approx(r0, abs=1e-9)
 
 
+def test_shared_subtree_is_played_per_position(box):
+    # one node object reached by two paths: affordable straight from the
+    # root, beyond the poor type's wallet after another 30 -- each place
+    # keeps its own decision, in evaluate and in the collapse
+    shared = TransferNode(30.0, full_info_seller(box))
+    tree = BuyerNode(children=[shared, TransferNode(30.0, shared)])
+    res = evaluate(tree, box)
+    assert res.revenue == pytest.approx(30.0, abs=1e-12)
+    collapsed = evaluate(to_revelation(tree, box), box)
+    assert collapsed.revenue == pytest.approx(30.0, abs=1e-12)
+    for key, v in res.buyer_value.items():
+        assert collapsed.buyer_value[key] == pytest.approx(v, abs=1e-12)
+    assert not isinstance(to_revelation(tree, box).children[0], Leaf)
+
+
 # -- Monte-Carlo simulation --------------------------------------------------------
 
 def test_simulate_matches_exact_value(box):
@@ -164,3 +180,112 @@ def test_simulate_is_seed_deterministic(box):
     a = simulate(two_option_tree(), box, trials=500, rng=np.random.default_rng(9))
     b = simulate(two_option_tree(), box, trials=500, rng=np.random.default_rng(9))
     assert a == b
+
+
+# -- simulate against the one-trial-at-a-time walk -----------------------------
+
+def reference_simulate(tree, instance, trials, rng):
+    """simulate as a scalar loop, one trial and one uniform at a time, the
+    way it worked before it walked blocks of trials together."""
+    res = evaluate(tree, instance)
+    ids = {id(n): i for i, n in enumerate(res.nodes)}
+    seller_mats = {id(n): _seller_rows(n, instance)
+                   for n in res.nodes if isinstance(n, SellerNode)}
+    flat = instance.prior.reshape(-1)
+    cum = np.cumsum(flat)
+    shape = instance.prior.shape
+    takes = np.zeros(trials)
+    counts: dict = {}
+    for trial in range(trials):
+        u = rng.random() * cum[-1]
+        w, ti, bi = np.unravel_index(int(np.searchsorted(cum, u, side="right")), shape)
+        key = (instance.theta[ti], float(instance.budgets[bi]))
+        counts[key] = counts.get(key, 0) + 1
+        if not res.participates[key]:
+            continue
+        strategy = res.strategy[key]
+        node = tree
+        paid = 0.0
+        while True:
+            nid = ids[id(node)]
+            if isinstance(node, Leaf):
+                break
+            if isinstance(node, TransferNode):
+                if strategy.get(nid) == "quit":
+                    break
+                paid += node.amount
+                node = node.child
+                continue
+            if isinstance(node, SellerNode):
+                probs = seller_mats[id(node)][w]
+                j = int(np.searchsorted(np.cumsum(probs), rng.random() * probs.sum(),
+                                        side="right"))
+                node = node.children[min(j, len(node.children) - 1)]
+                continue
+            pick = strategy.get(nid, "quit")
+            if pick == "quit":
+                break
+            node = node.children[pick]
+        takes[trial] = paid
+    mean = float(takes.mean()) if trials else 0.0
+    stderr = float(takes.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
+    return {"trials": trials, "mean_revenue": mean, "stderr": stderr,
+            "exact_revenue": res.revenue, "type_counts": counts}
+
+
+def assert_same_stream(tree, instance, trials, seed):
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = simulate(tree, instance, trials, ours)
+    want = reference_simulate(tree, instance, trials, theirs)
+    assert got == want
+    assert list(got["type_counts"]) == list(want["type_counts"])
+    assert ours.random() == theirs.random()  # the generator ends where it did
+
+
+def stream_cases():
+    box = treasure_box()
+    cases = [("two-option", two_option_tree(), box)]
+    for name, mech in [("dirp", solve_cm_dirp(box, 50.0)), ("depr", solve_cm_depr(box)),
+                       ("probr", solve_cm_probr(box)),
+                       ("single-round", solve_single_round(box))]:
+        tree = mechanism_to_protocol(mech, box)
+        cases += [(f"box-{name}", tree, box),
+                  (f"box-{name}-collapsed", to_revelation(tree, box), box)]
+    # a tiny negative entry, as parse_protocol admits, leaves the running
+    # sums out of order; the draw must still follow searchsorted's bisection
+    unsorted = SellerNode(children=[Leaf(), TransferNode(2.0, Leaf()), Leaf()],
+                          transitions={"0": np.array([0.5, -1e-13, 0.5 + 1e-13]),
+                                       "1": np.array([0.0, 1.0, 0.0])})
+    cases.append(("unsorted-row", TransferNode(1.0, unsorted), box))
+    rng = np.random.default_rng(20261018)
+    for k in range(40):
+        inst = random_correlated_instance(rng)
+        cases.append((f"random-{k}", random_tree(rng, inst, max_depth=5), inst))
+    return [pytest.param(tree, instance, k, id=name)
+            for k, (name, tree, instance) in enumerate(cases)]
+
+
+@pytest.mark.parametrize("tree, instance, k", stream_cases())
+def test_simulate_draws_what_the_scalar_walk_draws(tree, instance, k):
+    for trials in (0, 1, 2, 2500):
+        assert_same_stream(tree, instance, trials, seed=k * 1000 + trials)
+
+
+def test_simulate_carries_a_trial_across_blocks(box):
+    # four seller nodes on every path: each trial takes five uniforms, and
+    # five does not divide a block, so some trial starts in one block and
+    # ends in the next
+    rng = np.random.default_rng(7)
+
+    def sellers(depth):
+        if depth == 0:
+            return TransferNode(float(rng.uniform(0.0, 0.01)), Leaf())
+        kids = [sellers(depth - 1), sellers(depth - 1)]
+        return SellerNode(children=kids,
+                          transitions={w: rng.dirichlet(np.ones(2)) for w in box.omega})
+
+    tree = sellers(4)
+    assert all(evaluate(tree, box).participates.values())
+    trials = 2 * SIM_BLOCK
+    assert SIM_BLOCK % 5 != 0
+    assert_same_stream(tree, box, trials, seed=11)
