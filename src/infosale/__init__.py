@@ -6,9 +6,10 @@ priors."""
 
 from .errors import (InfosaleError, InputError, PreconditionError,
                      ProtocolInvalidError, SolverFailure)
-from .model import (Instance, bayes_update, conditional_belief, is_independent,
-                    instance_to_json_dict, load_instance, outside_option,
-                    positive_types, surplus, treasure_box, validate)
+from .model import (Instance, PriorView, bayes_update, conditional_belief,
+                    is_independent, instance_to_json_dict, load_instance,
+                    outside_option, positive_types, prior_view, surplus,
+                    treasure_box, validate)
 from .lpcore import LinearProgram, LPSolution
 from .mechanisms import (DepositReturnMechanism, DirectMechanism, Mechanism, Menu,
                          ProbReturnMechanism, buyer_utility, expected_revenue,

@@ -25,9 +25,9 @@ revenue, buyer utility, verification and the protocol embedding read a menu
 only through them. The first three solvers require the state to be
 independent of (type, budget) and share one LP builder, differing only in the
 menu, weights, truthfulness pairs and price boxes they pass it. The
-probabilistic-return LP handles correlated priors; the exact solver and the
-sampling module's eps-slack solver share one solve path. One kernel cleanup
-serves every family.
+probabilistic-return LP handles correlated priors and solves over a
+model.PriorView: solve_cm_probr is the sampling module's eps-slack LP at
+eps = 0 over the instance's own view. One kernel cleanup serves every family.
 """
 
 from __future__ import annotations
@@ -38,11 +38,8 @@ import numpy as np
 
 from .errors import InputError, PreconditionError, SolverFailure
 from .lpcore import INFEASIBLE, LinearProgram
-from .model import (Instance, conditional_belief, is_independent,
-                    positive_types, surplus, PROB_TOL)
-
-# Kernel entries below this are clamped to zero and rows renormalized.
-KERNEL_CLIP = 1e-9
+from .model import (Instance, PriorView, conditional_belief, is_independent,
+                    prior_view, PROB_TOL)
 
 
 def pair_key(theta: str, b: float) -> str:
@@ -142,8 +139,8 @@ def _require_independent(instance: Instance, what: str) -> None:
 
 
 def _clean_kernel(rows: np.ndarray, belief: np.ndarray, util: np.ndarray) -> np.ndarray:
-    """Clamp tiny entries to zero, renormalize each state's row, and merge
-    each recommendation into the one its own posterior best-responds to.
+    """Zero negative entries, renormalize each state's row, and merge each
+    recommendation into the one its own posterior best-responds to.
 
     rows (m, n_omega, k * n_actions) holds k transfer blocks side by side,
     column c recommending action c mod n_actions; belief (m, n_omega) and
@@ -156,7 +153,7 @@ def _clean_kernel(rows: np.ndarray, belief: np.ndarray, util: np.ndarray) -> np.
     (8 machine epsilons of sum_w belief * rows * max_a |u|), so exact ties
     stay where the solver put them.
     """
-    rows = np.where(rows < KERNEL_CLIP, 0.0, rows)
+    rows = np.where(rows > 0.0, rows, 0.0)
     totals = rows.sum(axis=-1, keepdims=True)
     rows = rows / np.where(totals <= 0.0, 1.0, totals)
     na = util.shape[-1]
@@ -171,9 +168,8 @@ def _clean_kernel(rows: np.ndarray, belief: np.ndarray, util: np.ndarray) -> np.
     return np.einsum("iwc,icd->iwd", rows, np.eye(len(cols))[target])
 
 
-def _menu_labels(instance: Instance) -> tuple[tuple[str, float], ...]:
-    return tuple((instance.theta[ti], instance.budgets[bi])
-                 for ti, bi in positive_types(instance))
+def _menu_labels(view: PriorView) -> tuple[tuple[str, float], ...]:
+    return tuple((view.instance.theta[ti], view.instance.budgets[bi]) for ti, bi in view.index)
 
 
 # ---------------------------------------------------------------------------
@@ -276,12 +272,10 @@ def _solve_deposit_family(instance: Instance, menu, weights, ic_pairs, t_bounds,
     return prices, kernel, utilities, float(weights @ prices)
 
 
-def _deposit_menu(instance: Instance):
+def _deposit_menu(prior: Instance | PriorView):
     """Positive (type, budget) pairs as (theta index, budget) with their weights."""
-    marg = instance.type_marginal()
-    pairs = positive_types(instance)
-    return ([(ti, instance.budgets[bi]) for ti, bi in pairs],
-            np.array([marg[ti, bi] for ti, bi in pairs]))
+    view = prior_view(prior)
+    return [(ti, view.instance.budgets[bi]) for ti, bi in view.index], view.weights
 
 
 def solve_cm_depr(instance: Instance) -> Menu:
@@ -291,14 +285,15 @@ def solve_cm_depr(instance: Instance) -> Menu:
     truthfulness constraints run only against reports with b' <= b.
     """
     _require_independent(instance, "solve_cm_depr")
-    menu, weights = _deposit_menu(instance)
+    view = prior_view(instance)
+    menu, weights = _deposit_menu(view)
     M = instance.seller_budget
     ic_pairs = [(i, j)
                 for i, (_, b) in enumerate(menu)
                 for j, (_, b2) in enumerate(menu)
                 if j != i and b2 <= b]
     t_bounds = [(-M, b) for _, b in menu]
-    return Menu("depr", _menu_labels(instance), *_solve_deposit_family(
+    return Menu("depr", _menu_labels(view), *_solve_deposit_family(
         instance, menu, weights, ic_pairs, t_bounds, "deposit-return"))
 
 
@@ -379,49 +374,23 @@ def solve_single_round(instance: Instance) -> Menu:
     buy the seller.
     """
     _require_independent(instance, "solve_single_round")
-    menu, weights = _deposit_menu(instance)
+    view = prior_view(instance)
+    menu, weights = _deposit_menu(view)
     levels = instance.budgets
-    M = instance.seller_budget
-    mu_w = instance.omega_marginal()
     cutoffs = _affordability_pattern(instance, menu, weights)
-    pattern = [levels[k] for k in cutoffs]
-    floors = [levels[k - 1] if k else -M for k in cutoffs]
-
-    def honest(mech, skipped_pairs):
-        # A price may land exactly on the level just below its cutoff, where
-        # a type the pattern ignored can in fact afford it; confirm those
-        # types still have no incentive to grab it.
-        for i, j in skipped_pairs:
-            ti, b = menu[i]
-            if mech.payments[j] > b + 1e-9:
-                continue
-            dev = sum(max(float(mu_w @ (mech.kernel[j][:, a] * instance.utility[:, ti, a2]))
-                          for a2 in range(len(instance.actions)))
-                      for a in range(len(instance.actions)))
-            if dev - mech.payments[j] > mech.utilities[i] + 1e-6:
-                return False
-        return True
-
-    ic_pairs, skipped = [], []
-    for i, (_, b) in enumerate(menu):
-        for j in range(len(menu)):
-            if j == i:
-                continue
-            (ic_pairs if pattern[j] <= b else skipped).append((i, j))
-    for nudge in (0.0, 1e-7):
-        t_bounds = [(floors[j] + (nudge if floors[j] > -M else 0.0), pattern[j])
-                    for j in range(len(menu))]
-        try:
-            mech = Menu("single-round", _menu_labels(instance), *_solve_deposit_family(
-                instance, menu, weights, ic_pairs, t_bounds, "single-round"))
-        except SolverFailure as exc:
-            if exc.status != INFEASIBLE:
-                raise
-            break  # pattern's price box is empty or infeasible
-        if honest(mech, skipped):
-            return mech
-        # otherwise lift prices just inside the open end and retry once
-    raise PreconditionError("no affordability pattern is feasible")
+    # the pattern program's own price boxes: a price sits more than 1e-9
+    # above every budget level the pattern leaves unable to afford it
+    t_bounds = [(levels[k - 1] + 1e-7 if k else -instance.seller_budget, levels[k])
+                for k in cutoffs]
+    ic_pairs = [(i, j) for i, (_, b) in enumerate(menu) for j in range(len(menu))
+                if j != i and levels[cutoffs[j]] <= b]
+    try:
+        return Menu("single-round", _menu_labels(view), *_solve_deposit_family(
+            instance, menu, weights, ic_pairs, t_bounds, "single-round"))
+    except SolverFailure as exc:
+        if exc.status != INFEASIBLE:
+            raise
+        raise PreconditionError("no affordability pattern is feasible") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -522,14 +491,14 @@ def build_prob_return_lp(utility: np.ndarray, menu_types: list[tuple[int, float]
     return lp, p_pay, p_ref
 
 
-def _solve_prob_return(shape: Instance, menu: list[tuple[int, float]],
-                       cond: np.ndarray, joint: np.ndarray, M: float,
-                       eps: float = 0.0) -> Menu:
-    """Build, solve and clean the probabilistic-return LP for given belief
-    data (see build_prob_return_lp), then price the cleaned menu: each
-    entry's truthful utility under its own belief and the joint-weighted
-    revenue. `shape` supplies the utility table and the type labels.
+def solve_prob_return(view: PriorView, M: float, eps: float = 0.0) -> Menu:
+    """Build, solve and clean the probabilistic-return LP over a prior view
+    (see build_prob_return_lp), then price the cleaned menu: each entry's
+    truthful utility under its own belief and the joint-weighted revenue.
+    The menu is the view's index; its instance supplies utilities and labels.
     """
+    shape, cond, joint = view.instance, view.beliefs, view.joint
+    menu = [(ti, float(shape.budgets[bi])) for ti, bi in view.index]
     lp, p_pay, p_ref = build_prob_return_lp(shape.utility, menu, cond, joint, M, eps=eps)
     sol = lp.solve()
     m, nw, na = len(menu), len(shape.omega), len(shape.actions)
@@ -544,9 +513,8 @@ def _solve_prob_return(shape: Instance, menu: list[tuple[int, float]],
         for i, (_, b) in enumerate(menu)])
     revenue = sum(float(np.einsum("w,wa->", joint[i], b * pay[i] - M * refund[i]))
                   for i, (_, b) in enumerate(menu))
-    return Menu("probr", tuple((shape.theta[ti], b) for ti, b in menu),
-                np.array([float(b) for _, b in menu]), kernel, utilities,
-                float(revenue), float(M))
+    return Menu("probr", _menu_labels(view), np.array([b for _, b in menu]), kernel,
+                utilities, float(revenue), float(M))
 
 
 def solve_cm_probr(instance: Instance) -> Menu:
@@ -555,14 +523,10 @@ def solve_cm_probr(instance: Instance) -> Menu:
     Always feasible: putting all mass on "refund the deposit plus M" at the
     buyer's ex-ante best action nets every type +M over their outside option
     (revenue -M, feasible if unprofitable), so solver infeasibility here
-    signals a bug, not a bad instance.
+    signals a bug, not a bad instance. This is the eps-slack LP of module
+    sampling at eps = 0 over the true prior.
     """
-    pairs = positive_types(instance)
-    return _solve_prob_return(
-        instance, [(ti, instance.budgets[bi]) for ti, bi in pairs],
-        np.stack([conditional_belief(instance, ti, bi) for ti, bi in pairs]),
-        np.stack([instance.prior[:, ti, bi] for ti, bi in pairs]),
-        instance.seller_budget)
+    return solve_prob_return(prior_view(instance), instance.seller_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -650,13 +614,12 @@ def full_revelation_menu(instance: Instance) -> Menu:
     priors, so it serves as a lower-bound sanity benchmark for the
     probabilistic-return solver after lambda-replication.
     """
-    pairs = positive_types(instance)
-    na = len(instance.actions)
+    view = prior_view(instance)
+    pairs = view.index
     base = np.empty(len(pairs))
     informed = np.empty(len(pairs))
-    kernel = np.zeros((len(pairs), len(instance.omega), na))
-    for i, (ti, bi) in enumerate(pairs):
-        belief = conditional_belief(instance, ti, bi)
+    kernel = np.zeros((len(pairs), len(instance.omega), len(instance.actions)))
+    for i, ((ti, bi), belief) in enumerate(zip(pairs, view.beliefs)):
         util = instance.utility[:, ti, :]
         best_act = util.argmax(axis=1)
         kernel[i, np.arange(len(instance.omega)), best_act] = 1.0
@@ -666,21 +629,20 @@ def full_revelation_menu(instance: Instance) -> Menu:
     prices = np.array([
         min(base[j] for j, (tj, bj) in enumerate(pairs)
             if instance.budgets[bj] <= instance.budgets[bi])
-        for i, (ti, bi) in enumerate(pairs)])
-    marg = instance.type_marginal()
-    weights = np.array([marg[ti, bi] for ti, bi in pairs])
-    return Menu("depr", _menu_labels(instance), prices, kernel,
-                informed - prices, float(weights @ prices))
+        for ti, bi in pairs])
+    return Menu("depr", _menu_labels(view), prices, kernel,
+                informed - prices, float(view.weights @ prices))
 
 
-def revenue_cap(instance: Instance) -> float:
-    """Upper bound no mechanism can beat: each type pays at most the smaller
-    of its wallet and its value of full information."""
-    marg = instance.type_marginal()
+def revenue_cap(prior: Instance | PriorView) -> float:
+    """Upper bound no mechanism can beat under a prior: each type pays at
+    most the smaller of its wallet and its value of full information."""
+    view = prior_view(prior)
     total = 0.0
-    for ti, bi in positive_types(instance):
-        theta, b = instance.theta[ti], instance.budgets[bi]
-        total += marg[ti, bi] * min(b, surplus(instance, theta, b))
+    for (ti, bi), weight, belief in zip(view.index, view.weights, view.beliefs):
+        util = view.instance.utility[:, ti, :]
+        value = float(belief @ util.max(axis=1)) - float(np.max(belief @ util))
+        total += weight * min(view.instance.budgets[bi], value)
     return float(total)
 
 

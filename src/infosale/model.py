@@ -102,6 +102,53 @@ def positive_types(instance: Instance, tol: float = PROB_TOL) -> list[tuple[int,
             if marg[ti, bi] > tol]
 
 
+@dataclass(frozen=True, eq=False)
+class PriorView:
+    """The prior a seller solves and checks under, per positive (type,
+    budget) pair: the true prior of an Instance, or an empirical estimate.
+
+    index:   the positive (ti, bi) pairs in label order, m of them.
+    weights: (m,) each pair's revenue weight.
+    joint:   (m, n_omega) each pair's weight on every state.
+    beliefs: (m, n_omega) each pair's belief over states.
+    """
+
+    instance: Instance
+    index: tuple[tuple[int, int], ...]
+    weights: np.ndarray
+    joint: np.ndarray
+    beliefs: np.ndarray
+
+    def pairs(self) -> list[tuple[int, int]]:
+        return list(self.index)
+
+    def weight(self, ti: int, bi: int) -> float:
+        """A pair's revenue weight; 0 for a pair outside the index."""
+        if (ti, bi) not in self.index:
+            return 0.0
+        return float(self.weights[self.index.index((ti, bi))])
+
+    def belief(self, ti: int, bi: int) -> np.ndarray:
+        if (ti, bi) not in self.index:
+            raise InputError(f"pair ({ti}, {bi}) has no weight in this prior")
+        return self.beliefs[self.index.index((ti, bi))].copy()
+
+
+def prior_view(prior: Instance | PriorView) -> PriorView:
+    """A PriorView unchanged, or an Instance's true prior as one."""
+    if isinstance(prior, PriorView):
+        return prior
+    if not isinstance(prior, Instance):
+        raise InputError("prior must be an Instance or a PriorView")
+    index = tuple(positive_types(prior))
+    marg = prior.type_marginal()
+    shape = (len(index), len(prior.omega))
+    return PriorView(prior, index, np.array([marg[ti, bi] for ti, bi in index]),
+                     np.array([prior.prior[:, ti, bi] for ti, bi in index]).reshape(shape),
+                     np.array([conditional_belief(prior, ti, bi) for ti, bi in index]
+                              ).reshape(shape))
+
+
 def validate(instance: Instance) -> None:
     """Raise InputError unless the instance is internally consistent."""
     nw, nt, na = len(instance.omega), len(instance.theta), len(instance.actions)

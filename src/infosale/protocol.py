@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import InputError, ProtocolInvalidError
 from .mechanisms import Menu
-from .model import Instance, conditional_belief, positive_types
+from .model import Instance, positive_types, prior_view
 
 TIE_TOL = 1e-9       # value gaps below this count as indifference
 BUDGET_TOL = 1e-9    # slack allowed on budget comparisons
@@ -181,16 +181,19 @@ class CompiledTree:
 
 
 def _seller_rows(node: SellerNode, instance: Instance) -> np.ndarray:
-    """Transition matrix (n_omega, n_children); validates stochasticity."""
+    """Transition matrix (n_omega, n_children); validates that each row is a
+    distribution: finite, no entry below -1e-12 (parse_protocol's bound),
+    summing to 1."""
     nw = len(instance.omega)
     mat = np.zeros((nw, len(node.children)))
     for w_label, probs in node.transitions.items():
         mat[instance.omega_id(w_label)] = probs
-    bad = np.abs(mat.sum(axis=1) - 1.0) > 1e-9
+    bad = (~np.isfinite(mat).all(axis=1) | (mat < -1e-12).any(axis=1)
+           | (np.abs(mat.sum(axis=1) - 1.0) > 1e-9))
     if bad.any():
         w = instance.omega[int(np.argmax(bad))]
         raise ProtocolInvalidError(
-            f"seller node's transition row for state {w!r} does not sum to 1")
+            f"seller node's transition row for state {w!r} is not a distribution")
     return mat
 
 
@@ -300,7 +303,7 @@ def evaluate(tree: Node | CompiledTree, instance: Instance) -> EvalResult:
     amount = ct.amount.tolist()
     nw = len(instance.omega)
     util = instance.utility
-    marg = instance.type_marginal()
+    view = prior_view(instance)
 
     buyer_value: dict = {}
     reach: dict = {i: {} for i in range(len(nodes))}
@@ -309,11 +312,10 @@ def evaluate(tree: Node | CompiledTree, instance: Instance) -> EvalResult:
     participates: dict = {}
     revenue = 0.0
 
-    for ti, bi in positive_types(instance):
+    for (ti, bi), weight, belief in zip(view.index, view.weights, view.beliefs):
         key = (instance.theta[ti], float(instance.budgets[bi]))
         own_labels = (f"{key[0]}|{key[1]:.12g}", key[0])
         budget = instance.budgets[bi]
-        belief = conditional_belief(instance, ti, bi)
         uth = util[:, ti, :]
         choices: dict[int, object] = {}
 
@@ -412,7 +414,7 @@ def evaluate(tree: Node | CompiledTree, instance: Instance) -> EvalResult:
 
         terminal[key] = ends
         strategy[key] = choices
-        revenue += marg[ti, bi] * paid_expect
+        revenue += weight * paid_expect
 
     return EvalResult(buyer_value=buyer_value, revenue=float(revenue),
                       reach=reach, terminal=terminal, strategy=strategy,

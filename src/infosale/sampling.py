@@ -2,11 +2,12 @@
 
 When the prior over (state, type, budget) is only reachable through an
 i.i.d. sampling oracle, the seller can still sell information: draw n−1
-samples next to the one live interaction, form empirical distributions, and
-solve the probabilistic-return LP with an additive slack eps on the
-truthfulness / participation / recommendation-following rows. run_mechanism1
-is the end-to-end event: estimate, solve, then recommend an action and
-settle the two-point transfer {deposit, −M} for the live buyer.
+samples next to the one live interaction, estimate the prior as an
+EmpiricalPrior (a model.PriorView), and solve the probabilistic-return LP over
+it with an additive slack eps on the truthfulness / participation /
+recommendation-following rows. run_mechanism1 is the end-to-end event:
+estimate, solve, then recommend an action and settle the two-point transfer
+{deposit, −M} for the live buyer.
 
 The conditional estimate for pair (theta, b) is built from the matching
 *later* samples plus the live interaction's realized state — never the live
@@ -19,14 +20,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError, PreconditionError
-from . import mechanisms
-from .mechanisms import Menu
-from .model import Instance
+from .mechanisms import Menu, solve_prob_return
+from .model import Instance, PriorView
 
 Triple = tuple[str, str, float]  # (type label, state label, budget value)
 
@@ -94,70 +94,18 @@ class ReplayOracle:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class EmpiricalPrior:
-    """Empirical joint and per-pair conditionals from n sampled triples.
+@dataclass(frozen=True, eq=False)
+class EmpiricalPrior(PriorView):
+    """A PriorView estimated from n sampled triples (see draw_samples).
 
     The first triple is the live interaction (theta1, omega1, b1). The joint
     weights every (state, type, budget) cell by its frequency among all n
-    triples. The conditional for pair (theta, b) is the frequency of states
-    among that pair's occurrences in triples 2…n, plus one occurrence of the
-    live state omega1 regardless of the live report.
+    triples, and the index lists the pairs sampled at least once. The belief
+    of pair (theta, b) is the frequency of states among that pair's
+    occurrences in triples 2…n, plus one occurrence of the live state omega1
+    regardless of the live report.
     """
-    instance: Instance
-    theta_idx: np.ndarray
-    omega_idx: np.ndarray
-    budget_idx: np.ndarray
-    _pairs: list = field(init=False, repr=False)
-    _joint: np.ndarray = field(init=False, repr=False)
-    _cond: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        inst = self.instance
-        n = len(self.theta_idx)
-        if n < 1:
-            raise InputError("need at least the live triple")
-        nw, nt, nb = len(inst.omega), len(inst.theta), len(inst.budgets)
-        counts = np.zeros((nw, nt, nb))
-        np.add.at(counts, (self.omega_idx, self.theta_idx, self.budget_idx), 1.0)
-        joint_full = counts / n
-        pair_mass = joint_full.sum(axis=0)
-        self._pairs = [(ti, bi) for ti in range(nt) for bi in range(nb)
-                       if pair_mass[ti, bi] > 0.0]
-        self._joint = np.stack([joint_full[:, ti, bi] for ti, bi in self._pairs])
-        w1 = int(self.omega_idx[0])
-        cond = []
-        for ti, bi in self._pairs:
-            later = (self.theta_idx[1:] == ti) & (self.budget_idx[1:] == bi)
-            tally = np.bincount(self.omega_idx[1:][later], minlength=nw).astype(float)
-            tally[w1] += 1.0
-            cond.append(tally / tally.sum())
-        self._cond = np.stack(cond)
-
-    # --- the prior-view surface shared with module verify ---
-    def pairs(self):
-        return list(self._pairs)
-
-    def weight(self, ti: int, bi: int) -> float:
-        try:
-            return float(self._joint[self._pairs.index((ti, bi))].sum())
-        except ValueError:
-            return 0.0
-
-    def belief(self, ti: int, bi: int) -> np.ndarray:
-        try:
-            return self._cond[self._pairs.index((ti, bi))].copy()
-        except ValueError:
-            raise InputError(f"pair ({ti}, {bi}) never sampled") from None
-
-    @property
-    def n(self) -> int:
-        return len(self.theta_idx)
-
-    def samples(self) -> list[Triple]:
-        inst = self.instance
-        return [(inst.theta[t], inst.omega[w], float(inst.budgets[b]))
-                for t, w, b in zip(self.theta_idx, self.omega_idx, self.budget_idx)]
+    n: int
 
 
 def draw_samples(oracle, n: int, live: Triple, instance: Instance) -> EmpiricalPrior:
@@ -172,8 +120,21 @@ def draw_samples(oracle, n: int, live: Triple, instance: Instance) -> EmpiricalP
         t_idx[i] = instance.theta_id(th)
         w_idx[i] = instance.omega_id(w)
         b_idx[i] = instance.budget_id(b)
-    return EmpiricalPrior(instance=instance, theta_idx=t_idx,
-                          omega_idx=w_idx, budget_idx=b_idx)
+    nw, nt, nb = len(instance.omega), len(instance.theta), len(instance.budgets)
+    counts = np.zeros((nw, nt, nb))
+    np.add.at(counts, (w_idx, t_idx, b_idx), 1.0)
+    joint_full = counts / n
+    pair_mass = joint_full.sum(axis=0)
+    index = tuple((ti, bi) for ti in range(nt) for bi in range(nb)
+                  if pair_mass[ti, bi] > 0.0)
+    joint = np.stack([joint_full[:, ti, bi] for ti, bi in index])
+    beliefs = []
+    for ti, bi in index:
+        later = (t_idx[1:] == ti) & (b_idx[1:] == bi)
+        tally = np.bincount(w_idx[1:][later], minlength=nw).astype(float)
+        tally[w_idx[0]] += 1.0
+        beliefs.append(tally / tally.sum())
+    return EmpiricalPrior(instance, index, joint.sum(axis=1), joint, np.stack(beliefs), n)
 
 
 # ---------------------------------------------------------------------------
@@ -181,24 +142,23 @@ def draw_samples(oracle, n: int, live: Triple, instance: Instance) -> EmpiricalP
 # ---------------------------------------------------------------------------
 
 
-def solve_epsilon_lp(empirical: EmpiricalPrior, shape: Instance, M: float,
+def solve_epsilon_lp(empirical: PriorView, shape: Instance, M: float,
                      eps: float) -> Menu:
-    """Probabilistic-return LP over the empirical estimates with eps slack.
+    """Probabilistic-return LP over a prior view with eps slack.
 
-    The objective weighs transfers by the empirical joint; the constraint
-    rows use each pair's empirical conditional. Pairs never sampled carry no
-    weight and no constraints — they are off the menu entirely. With eps = 0
-    and empirical equal to the truth this is exactly solve_cm_probr.
+    The objective weighs transfers by the view's joint; the constraint rows
+    use each pair's belief. Pairs never sampled carry no weight and no
+    constraints — they are off the menu entirely. The view's instance gives
+    the utilities and labels; `shape` must be that instance. At eps = 0 over
+    prior_view(shape) this is solve_cm_probr.
     """
     if eps < 0:
         raise PreconditionError("eps must be nonnegative")
-    pairs = empirical.pairs()
-    if not pairs:
+    if empirical.instance is not shape:
+        raise PreconditionError("the prior view was indexed against another instance")
+    if not empirical.index:
         raise PreconditionError("empirical prior has no sampled types")
-    return mechanisms._solve_prob_return(
-        shape, [(ti, float(shape.budgets[bi])) for ti, bi in pairs],
-        np.stack([empirical.belief(ti, bi) for ti, bi in pairs]), empirical._joint,
-        M, eps)
+    return solve_prob_return(empirical, M, eps)
 
 
 def certified_slack(eps: float) -> dict:

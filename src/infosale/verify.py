@@ -2,10 +2,9 @@
 
 Every check here is direct expectation arithmetic — no LP anywhere — so a
 green report is evidence the solvers built what they claim, not a replay of
-their own constraints. Checks accept either an Instance (verify against the
-true prior) or any object exposing the small "prior view" surface used by
-the sampling module's empirical estimates: `instance`, `pairs()`,
-`weight(ti, bi)`, `belief(ti, bi)`.
+their own constraints. Checks take a prior: an Instance (verify against the
+true prior) or any PriorView, such as the sampling module's empirical
+estimate.
 
 Conventions: slack is (left side − right side) of the defining inequality,
 so negative slack means violation; a check at slack s passes when
@@ -20,9 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
-from .mechanisms import Menu
-from .model import Instance, conditional_belief, positive_types
+from .mechanisms import Menu, revenue_cap
+from .model import Instance, PriorView, prior_view
 
 DEFAULT_TOL = 1e-6
 REC_PROB_FLOOR = 1e-9   # recommendations rarer than this have no posterior
@@ -70,36 +68,6 @@ class VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# prior views
-# ---------------------------------------------------------------------------
-
-
-class _InstanceView:
-    """Adapter giving an Instance the same surface as an empirical prior."""
-
-    def __init__(self, instance: Instance):
-        self.instance = instance
-        self._marg = instance.type_marginal()
-
-    def pairs(self):
-        return positive_types(self.instance)
-
-    def weight(self, ti: int, bi: int) -> float:
-        return float(self._marg[ti, bi])
-
-    def belief(self, ti: int, bi: int) -> np.ndarray:
-        return conditional_belief(self.instance, ti, bi)
-
-
-def _as_view(prior):
-    if isinstance(prior, Instance):
-        return _InstanceView(prior)
-    if all(hasattr(prior, attr) for attr in ("instance", "pairs", "weight", "belief")):
-        return prior
-    raise InputError("prior must be an Instance or expose instance/pairs/weight/belief")
-
-
-# ---------------------------------------------------------------------------
 # mechanism arithmetic over a view
 # ---------------------------------------------------------------------------
 
@@ -141,59 +109,64 @@ def _entry_values(mech: Menu, instance: Instance, belief: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def check_ic(mechanism: Menu, prior, eps: float = 0.0,
+def _walk(name: str, mechanism: Menu, view: PriorView, eps: float, tol: float | None,
+          empty: str, slacks, mode: str | None = None) -> VerificationReport:
+    """One check over every positive pair of the view.
+
+    slacks(ti, b, belief, truth) yields (slack, case) for a pair whose
+    truthful report is menu entry `truth`; the worst slack decides the
+    check. A pair the menu does not serve (no entry, or an entry costing
+    more than the pair's budget) fails the check at once.
+    """
+    tol = _tol(tol)
+    inst = view.instance
+    worst, worst_case = np.inf, empty
+    for (ti, bi), belief in zip(view.index, view.beliefs):
+        b = float(inst.budgets[bi])
+        pair = f"({inst.theta[ti]},{b:g})"
+        truth = mechanism.find(inst.theta[ti], b)
+        if truth is None or mechanism.cost(truth) > b + 1e-9:
+            worst = -np.inf
+            worst_case = (f"{pair} missing from menu" if truth is None else
+                          f"{pair} cannot afford its own menu entry {truth}")
+            break
+        for slack, case in slacks(ti, b, belief, truth):
+            if _worse(slack, worst):
+                worst, worst_case = slack, pair + case
+    return VerificationReport([CheckResult(name, bool(worst >= -eps - tol), float(worst),
+                                           worst_case, eps, tol, mode)])
+
+
+def check_ic(mechanism: Menu, prior: Instance | PriorView, eps: float = 0.0,
              tol: float | None = None) -> VerificationReport:
     """Truth beats every affordable misreport, even with free action remaps."""
-    tol = _tol(tol)
-    view = _as_view(prior)
+    view = prior_view(prior)
     inst = view.instance
-    worst, worst_case = np.inf, "no deviation available"
-    for ti, bi in view.pairs():
-        b = float(inst.budgets[bi])
-        truth = mechanism.find(inst.theta[ti], b)
-        if truth is None:
-            worst, worst_case = -np.inf, f"({inst.theta[ti]},{b:g}) missing from menu"
-            break
-        belief = view.belief(ti, bi)
+
+    def slacks(ti, b, belief, truth):
         truthful, _, _ = _entry_values(mechanism, inst, belief, ti, truth)
         for entry in range(len(mechanism.menu)):
-            if entry == truth or mechanism.cost(entry) > b + 1e-9:
-                continue
-            _, deviation, _ = _entry_values(mechanism, inst, belief, ti, entry)
-            slack = truthful - deviation
-            if _worse(slack, worst):
-                worst = slack
-                worst_case = (f"({inst.theta[ti]},{b:g}) reporting menu entry {entry}")
-    passed = bool(worst >= -eps - tol)
-    return VerificationReport([CheckResult("ic", passed, float(worst), worst_case, eps, tol)])
+            if entry != truth and mechanism.cost(entry) <= b + 1e-9:
+                _, deviation, _ = _entry_values(mechanism, inst, belief, ti, entry)
+                yield truthful - deviation, f" reporting menu entry {entry}"
+    return _walk("ic", mechanism, view, eps, tol, "no deviation available", slacks)
 
 
-def check_ir(mechanism: Menu, prior, eps: float = 0.0,
+def check_ir(mechanism: Menu, prior: Instance | PriorView, eps: float = 0.0,
              tol: float | None = None) -> VerificationReport:
     """Truthful participation beats acting on the prior belief alone."""
-    tol = _tol(tol)
-    view = _as_view(prior)
+    view = prior_view(prior)
     inst = view.instance
-    worst, worst_case = np.inf, "no types"
-    for ti, bi in view.pairs():
-        b = float(inst.budgets[bi])
-        truth = mechanism.find(inst.theta[ti], b)
-        if truth is None:
-            worst, worst_case = -np.inf, f"({inst.theta[ti]},{b:g}) missing from menu"
-            break
-        belief = view.belief(ti, bi)
+
+    def slacks(ti, b, belief, truth):
         truthful, _, _ = _entry_values(mechanism, inst, belief, ti, truth)
         outside = float(max(belief @ inst.utility[:, ti, a]
                             for a in range(len(inst.actions))))
-        slack = truthful - outside
-        if _worse(slack, worst):
-            worst, worst_case = slack, f"({inst.theta[ti]},{b:g})"
-    passed = bool(worst >= -eps - tol)
-    return VerificationReport([CheckResult("ir", passed, float(worst),
-                                           worst_case, eps, tol)])
+        yield truthful - outside, ""
+    return _walk("ir", mechanism, view, eps, tol, "no types", slacks)
 
 
-def check_obedience(mechanism: Menu, prior, eps: float = 0.0,
+def check_obedience(mechanism: Menu, prior: Instance | PriorView, eps: float = 0.0,
                     tol: float | None = None,
                     aggregate: bool | None = None) -> VerificationReport:
     """Recommended actions are worth taking.
@@ -204,35 +177,19 @@ def check_obedience(mechanism: Menu, prior, eps: float = 0.0,
     eps was budgeted for the whole recommendation stage. Default: aggregate
     exactly when eps > 0; the report's mode field records the choice.
     """
-    tol = _tol(tol)
     if aggregate is None:
         aggregate = eps > 0
-    view = _as_view(prior)
+    view = prior_view(prior)
     inst = view.instance
-    worst, worst_case = np.inf, "no recommendations"
-    for ti, bi in view.pairs():
-        b = float(inst.budgets[bi])
-        truth = mechanism.find(inst.theta[ti], b)
-        if truth is None:
-            worst, worst_case = -np.inf, f"({inst.theta[ti]},{b:g}) missing from menu"
-            break
-        belief = view.belief(ti, bi)
+
+    def slacks(ti, b, belief, truth):
         _, _, rows = _entry_values(mechanism, inst, belief, ti, truth)
         if aggregate:
-            regret = sum(mass * (dev - ob) for _, mass, ob, dev in rows)
-            slack = -regret
-            if _worse(slack, worst):
-                worst, worst_case = slack, f"({inst.theta[ti]},{b:g})"
+            yield -sum(mass * (dev - ob) for _, mass, ob, dev in rows), ""
         else:
-            for label, _, ob, dev in rows:
-                slack = ob - dev
-                if _worse(slack, worst):
-                    worst = slack
-                    worst_case = f"({inst.theta[ti]},{b:g}) recommended {label}"
-    passed = bool(worst >= -eps - tol)
-    return VerificationReport([CheckResult(
-        "obedience", passed, float(worst), worst_case, eps, tol,
-        mode="aggregate" if aggregate else "per-recommendation")])
+            yield from ((ob - dev, f" recommended {label}") for label, _, ob, dev in rows)
+    return _walk("obedience", mechanism, view, eps, tol, "no recommendations", slacks,
+                 "aggregate" if aggregate else "per-recommendation")
 
 
 def check_budget(mechanism: Menu, seller_budget: float | None = None,
@@ -256,33 +213,27 @@ def check_budget(mechanism: Menu, seller_budget: float | None = None,
                                            float(worst), worst_case, 0.0, tol)])
 
 
-def check_revenue_cap(mechanism: Menu, instance, tol: float | None = None
-                      ) -> VerificationReport:
+def check_revenue_cap(mechanism: Menu, prior: Instance | PriorView,
+                      tol: float | None = None) -> VerificationReport:
     """Revenue can't beat sum of min(budget, value of full information)."""
     tol = _tol(tol)
-    view = _as_view(instance)
-    inst = view.instance
-    cap = revenue = 0.0
-    for ti, bi in view.pairs():
-        belief = view.belief(ti, bi)
-        uth = inst.utility[:, ti, :]
-        full = float((belief[:, None] * uth).max(axis=1).sum())
-        outside = float(max(belief @ uth[:, a] for a in range(len(inst.actions))))
-        cap += view.weight(ti, bi) * min(float(inst.budgets[bi]), full - outside)
-        entry = mechanism.find(inst.theta[ti], float(inst.budgets[bi]))
+    view = prior_view(prior)
+    cap, revenue = revenue_cap(view), 0.0
+    for (ti, bi), weight, belief in zip(view.index, view.weights, view.beliefs):
+        entry = mechanism.find(view.instance.theta[ti], float(view.instance.budgets[bi]))
         if entry is not None:
-            revenue += view.weight(ti, bi) * mechanism.take(entry, belief)
+            revenue += weight * mechanism.take(entry, belief)
     slack = cap - revenue
     return VerificationReport([CheckResult(
         "revenue-cap", bool(slack >= -tol), float(slack),
         f"revenue {revenue:.6g} vs cap {cap:.6g}", 0.0, tol)])
 
 
-def verify_all(mechanism: Menu, prior, eps: float = 0.0,
+def verify_all(mechanism: Menu, prior: Instance | PriorView, eps: float = 0.0,
                tol: float | None = None) -> VerificationReport:
     """All checks against one prior; composite passes iff every check does."""
     tol = _tol(tol)
-    view = _as_view(prior)
+    view = prior_view(prior)
     report = VerificationReport()
     report.checks += check_ic(mechanism, view, eps, tol).checks
     report.checks += check_ir(mechanism, view, eps, tol).checks

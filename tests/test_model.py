@@ -6,7 +6,8 @@ import pytest
 from infosale import (InputError, Instance, PreconditionError, bayes_update,
                       conditional_belief, instance_to_json_dict,
                       is_independent, load_instance, outside_option,
-                      positive_types, surplus, treasure_box, validate)
+                      positive_types, prior_view, surplus, treasure_box,
+                      validate)
 
 
 def test_treasure_box_shape(box):
@@ -97,3 +98,20 @@ def test_label_lookup_errors(box):
     with pytest.raises(InputError):
         box.budget_id(77.0)
     validate(box)  # and the canonical example itself is valid
+
+
+def test_prior_view_of_an_instance(box):
+    view = prior_view(box)
+    assert view.instance is box
+    assert view.index == ((0, 0), (1, 1)) and view.pairs() == [(0, 0), (1, 1)]
+    assert np.array_equal(view.weights, [0.5, 0.5])
+    assert np.array_equal(view.joint, [[0.25, 0.25], [0.25, 0.25]])
+    assert np.array_equal(view.beliefs, [conditional_belief(box, 0, 0),
+                                         conditional_belief(box, 1, 1)])
+    assert view.weight(1, 1) == 0.5 and view.weight(0, 1) == 0.0
+    assert np.array_equal(view.belief(1, 1), [0.5, 0.5])
+    with pytest.raises(InputError):
+        view.belief(0, 1)  # zero-probability pair
+    assert prior_view(view) is view
+    with pytest.raises(InputError):
+        prior_view({"omega": ["0"]})

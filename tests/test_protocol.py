@@ -110,6 +110,19 @@ def test_seller_rows_must_be_distributions(box):
         evaluate(bad, box)
 
 
+@pytest.mark.parametrize("row", [[np.nan, 0.5], [0.7, -0.2, 0.5]])
+def test_seller_rows_must_be_finite_and_nonnegative(box, row):
+    # a NaN escapes a sum test, and a negative entry can sum to 1
+    seller = SellerNode(children=[Leaf() for _ in row],
+                        transitions={"0": np.array(row),
+                                     "1": np.full(len(row), 1.0 / len(row))})
+    tree = TransferNode(1.0, seller)
+    with pytest.raises(ProtocolInvalidError, match="state '0'"):
+        evaluate(tree, box)
+    with pytest.raises(ProtocolInvalidError, match="state '0'"):
+        simulate(tree, box, 10, np.random.default_rng(0))
+
+
 # -- mechanism embedding ---------------------------------------------------------
 
 @pytest.mark.parametrize("solver", [solve_cm_depr, solve_cm_probr,

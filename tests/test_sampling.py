@@ -1,13 +1,15 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from infosale import (InputError, InstanceOracle, PreconditionError,
-                      ReplayOracle, certified_slack, check_ic, check_ir,
-                      check_obedience, draw_samples, run_mechanism1,
-                      sample_complexity_bound, solve_cm_probr,
-                      solve_epsilon_lp)
+from infosale import (InputError, InstanceOracle, Menu, PreconditionError,
+                      PriorView, ReplayOracle, certified_slack, check_ic,
+                      check_ir, check_obedience, draw_samples, prior_view,
+                      run_mechanism1, sample_complexity_bound, solve_cm_probr,
+                      solve_epsilon_lp, treasure_box, verify_all)
+from infosale.random_instances import random_correlated_instance
 
 
 LIVE = ("0", "1", 50.0)  # (theta, omega, b)
@@ -135,3 +137,25 @@ def test_bound_tightens_with_accuracy():
     loose = sample_complexity_bound(2, 2, 2, 0.2, 0.1, 0.25)
     tight = sample_complexity_bound(2, 2, 2, 0.05, 0.1, 0.25)
     assert tight > loose
+
+
+def test_probr_is_the_epsilon_lp_at_zero_over_the_true_prior(box):
+    rng = np.random.default_rng(20261018)
+    for inst in [box] + [random_correlated_instance(rng) for _ in range(10)]:
+        view = prior_view(inst)
+        mech = solve_epsilon_lp(view, inst, inst.seller_budget, 0.0)
+        exact = solve_cm_probr(inst)
+        for f in dataclasses.fields(Menu):
+            a, b = getattr(mech, f.name), getattr(exact, f.name)
+            assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, f.name
+        assert verify_all(exact, inst).to_json() == verify_all(exact, view).to_json()
+
+
+def test_empirical_prior_is_a_prior_view(box):
+    emp = draw_samples(InstanceOracle(box, np.random.default_rng(8)), 50, LIVE, box)
+    assert isinstance(emp, PriorView)
+    assert prior_view(emp) is emp
+    assert emp.joint.shape == emp.beliefs.shape == (len(emp.index), len(box.omega))
+    assert np.array_equal(emp.weights, emp.joint.sum(axis=1))
+    with pytest.raises(PreconditionError):
+        solve_epsilon_lp(emp, treasure_box(), box.seller_budget, 0.0)  # another instance

@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 
 from infosale import (InputError, check_budget, check_ic, check_ir,
-                      check_obedience, check_revenue_cap, full_revelation_menu,
-                      solve_cm_depr, solve_cm_dirp, solve_cm_probr,
-                      solve_single_round, treasure_box, verify_all)
-from infosale.random_instances import random_correlated_instance
+                      check_obedience, check_revenue_cap, evaluate,
+                      full_revelation_menu, mechanism_to_protocol,
+                      positive_types, solve_cm_depr, solve_cm_dirp,
+                      solve_cm_probr, solve_single_round, treasure_box,
+                      verify_all)
+from infosale.random_instances import (random_correlated_instance,
+                                       random_independent_instance)
 
 
 def priced(mech, prices):
@@ -121,3 +124,24 @@ def test_nan_fails_verification(hand, box):
     kernel[1, 0, 0] = np.nan
     assert not verify_all(dataclasses.replace(hand, kernel=kernel), box, eps=0.0).passed
     assert not check_budget(priced(hand, [50.0, np.nan]), box.seller_budget).passed
+
+
+def test_a_type_must_afford_its_own_entry():
+    # a direct-payment menu solved at the highest budget level charges some
+    # types more than they hold; their own entry is not one the menu serves
+    rng = np.random.default_rng(20261018)
+    for _ in range(6):
+        inst = random_independent_instance(rng)
+    mech = solve_cm_dirp(inst, inst.budgets[-1])
+    poor = [f"({th},{b:g}) cannot afford its own menu entry {mech.find(th, b)}"
+            for th, b in ((inst.theta[ti], inst.budgets[bi]) for ti, bi in positive_types(inst))
+            if mech.cost(mech.find(th, b)) > b + 1e-9]
+    assert poor
+    for check in (check_ic, check_ir, check_obedience):
+        result = check(mech, inst).checks[0]
+        assert not result.passed
+        assert result.worst_slack == -np.inf
+        assert result.worst_case == poor[0]
+    assert not verify_all(mech, inst).passed
+    # the embedded tree holds each type to its own budget and earns less
+    assert evaluate(mechanism_to_protocol(mech, inst), inst).revenue < mech.revenue - 0.5
