@@ -25,16 +25,15 @@ import numpy as np
 
 from . import lpcore
 from . import verify as verify_mod
-from .errors import (InfosaleError, InputError, PreconditionError,
-                     SolverFailure)
+from .errors import InfosaleError, InputError, PreconditionError
 from .mechanisms import (expected_revenue, mechanism_from_json_dict,
                          mechanism_to_json_dict, solve_cm_depr, solve_cm_dirp,
                          solve_cm_probr, solve_single_round)
 from .model import Instance, instance_to_json_dict, load_instance, treasure_box
 from .protocol import (evaluate, mechanism_to_protocol, parse_protocol,
                        protocol_to_json_dict, simulate, two_option_tree)
-from .sampling import (InstanceOracle, ReplayOracle, run_mechanism1,
-                       sample_complexity_bound)
+from .sampling import (InstanceOracle, ReplayOracle, certified_slack,
+                       run_mechanism1, sample_complexity_bound)
 from .verify import (check_budget, check_ic, check_ir, check_obedience,
                      check_revenue_cap, verify_all)
 
@@ -43,6 +42,8 @@ EXIT_VERIFY_FAIL = 1
 EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
 EXIT_SOLVER = 4
+# the exit code of each error class; any other library error is EXIT_SOLVER
+EXIT_CODES = {InputError: EXIT_INPUT, PreconditionError: EXIT_PRECONDITION}
 
 
 def _g6(x: float) -> str:
@@ -161,6 +162,7 @@ def cmd_sample(args) -> int:
     revenues, live_expected, realized = [], [], []
     pass_eps, pass_cert = 0, 0
     eps = args.eps
+    slack = certified_slack(eps)
     for _ in range(args.replications):
         theta1, omega1, b1 = oracle.draw(1)[0]
         out = run_mechanism1(oracle, shape, M, args.n, eps, (theta1, b1),
@@ -174,11 +176,11 @@ def cmd_sample(args) -> int:
         mech, emp = out["mechanism"], out["empirical"]
         if verify_all(mech, emp, eps=eps).passed:
             pass_eps += 1
-        certified = (check_obedience(mech, emp, eps, aggregate=True).passed
-                     and check_ic(mech, emp, 2 * eps).passed
-                     and check_ir(mech, emp, 2 * eps).passed
+        certified = (check_obedience(mech, emp, slack["obedience"], aggregate=True).passed
+                     and check_ic(mech, emp, slack["ic"]).passed
+                     and check_ir(mech, emp, slack["ir"]).passed
                      and check_budget(mech, M).passed
-                     and check_revenue_cap(mech, emp, tol=2 * eps + 1e-6).passed)
+                     and check_revenue_cap(mech, emp, tol=slack["ir"] + 1e-6).passed)
         if certified:
             pass_cert += 1
     r = args.replications
@@ -287,18 +289,10 @@ def _main(argv) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except InfosaleError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except SolverFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except InfosaleError as exc:  # any other library failure
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+        return next((EXIT_CODES[c] for c in type(exc).__mro__ if c in EXIT_CODES),
+                    EXIT_SOLVER)
 
 
 if __name__ == "__main__":

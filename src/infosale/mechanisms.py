@@ -641,7 +641,8 @@ def revenue_cap(prior: Instance | PriorView) -> float:
     total = 0.0
     for (ti, bi), weight, belief in zip(view.index, view.weights, view.beliefs):
         util = view.instance.utility[:, ti, :]
-        value = float(belief @ util.max(axis=1)) - float(np.max(belief @ util))
+        # a value of information is never negative; rounding can say otherwise
+        value = max(0.0, float(belief @ util.max(axis=1)) - float(np.max(belief @ util)))
         total += weight * min(view.instance.budgets[bi], value)
     return float(total)
 
@@ -691,13 +692,13 @@ def _get(obj, key: str, where: str = "mechanism file"):
     return obj[key]
 
 
-def _number(value, what: str) -> float:
+def _number(value, what: str, error: type = InputError) -> float:
     try:
         x = float(value)
     except (TypeError, ValueError):
-        raise InputError(f"{what} must be a number, got {value!r}") from None
+        raise error(f"{what} must be a number, got {value!r}") from None
     if not np.isfinite(x):
-        raise InputError(f"{what} must be finite, got {value!r}")
+        raise error(f"{what} must be finite, got {value!r}")
     return x
 
 

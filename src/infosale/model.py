@@ -163,14 +163,14 @@ def validate(instance: Instance) -> None:
         raise InputError(f"prior shape {instance.prior.shape} != {(nw, nt, nb)}")
     if instance.utility.shape != (nw, nt, na):
         raise InputError(f"utility shape {instance.utility.shape} != {(nw, nt, na)}")
-    if np.any(instance.prior < -PROB_TOL):
-        raise InputError("prior entries must be nonnegative")
+    if not np.all(np.isfinite(instance.prior)) or np.any(instance.prior < -PROB_TOL):
+        raise InputError("prior entries must be finite and nonnegative")
     if abs(instance.prior.sum() - 1.0) > PROB_TOL:
         raise InputError(f"prior sums to {instance.prior.sum():.12g}, not 1")
     if not np.all(np.isfinite(instance.utility)):
         raise InputError("utility entries must be finite")
-    if any(b < 0 for b in instance.budgets):
-        raise InputError("budget levels must be nonnegative")
+    if not all(np.isfinite(b) and b >= 0 for b in instance.budgets):
+        raise InputError("budget levels must be finite and nonnegative")
     if any(b2 <= b1 for b1, b2 in zip(instance.budgets, instance.budgets[1:])):
         raise InputError("budget levels must be strictly increasing")
     if not (np.isfinite(instance.seller_budget) and instance.seller_budget >= 0):
@@ -207,6 +207,11 @@ def load_instance(source) -> Instance:
         payload = source
     if not isinstance(payload, dict):
         raise InputError("instance payload must be a JSON object")
+    for name in ("omega", "theta", "actions", "budgets", "prior", "utility"):
+        rows, value = name in ("prior", "utility"), payload.get(name, [])
+        if not isinstance(value, list) or rows and not all(isinstance(v, dict) for v in value):
+            raise InputError(f"instance field {name!r} must be a list"
+                             + (" of objects" if rows else ""))
 
     try:
         omega = tuple(str(w) for w in payload["omega"])

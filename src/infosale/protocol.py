@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, ProtocolInvalidError
-from .mechanisms import Menu
+from .mechanisms import Menu, _number
 from .model import Instance, positive_types, prior_view
 
 TIE_TOL = 1e-9       # value gaps below this count as indifference
@@ -92,69 +92,110 @@ class EvalResult:
 # ---------------------------------------------------------------------------
 
 
-def parse_protocol(data: dict) -> Node:
-    """Build a tree from nested JSON-style dicts (see protocol_to_json_dict)."""
+def _preorder(root, kids_of) -> tuple[list, list[list[int]]]:
+    """Lay a tree out in preorder with an explicit stack, so depth has no
+    limit: the items, and each one's child ids in order. kids_of(item)
+    lists an item's children."""
+    items: list = []
+    kids: list[list[int]] = []
+    stack = [(root, -1)]
+    while stack:
+        item, p = stack.pop()
+        i = len(items)
+        if p >= 0:
+            kids[p].append(i)
+        items.append(item)
+        kids.append([])
+        below = kids_of(item)
+        stack += zip(reversed(below), [i] * len(below))
+    return items, kids
+
+
+def _node_kids(n) -> list:
+    if isinstance(n, TransferNode):
+        return [n.child]
+    if isinstance(n, (Leaf, BuyerNode, SellerNode)):
+        return getattr(n, "children", [])
+    raise InputError(f"not a protocol node: {n!r}")
+
+
+def _parse_node(data) -> tuple[Node, list]:
+    """Check a protocol node dict field by field: the node, still without
+    its children, and the child dicts."""
     if not isinstance(data, dict) or "kind" not in data:
         raise ProtocolInvalidError("protocol node must be an object with a 'kind' field")
     kind = data["kind"]
     if kind == "leaf":
-        return Leaf()
+        return Leaf(), []
     if kind == "transfer":
         if "child" not in data:
             raise ProtocolInvalidError("transfer node needs exactly one 'child'")
-        amount = float(data.get("amount", 0.0))
-        if not np.isfinite(amount):
-            raise ProtocolInvalidError("transfer amount must be finite")
-        return TransferNode(amount=amount, child=parse_protocol(data["child"]))
+        amount = _number(data.get("amount", 0.0), "transfer amount", ProtocolInvalidError)
+        return TransferNode(amount=amount, child=None), [data["child"]]
+    if kind not in ("buyer", "seller"):
+        raise ProtocolInvalidError(f"unknown protocol node kind {kind!r}")
+    children = data.get("children")
+    if not isinstance(children, list) or not children:
+        raise ProtocolInvalidError(f"{kind} node's 'children' must be a nonempty list")
     if kind == "buyer":
-        children = [parse_protocol(c) for c in data.get("children", [])]
-        if not children:
-            raise ProtocolInvalidError("buyer node needs at least one child")
         labels = data.get("labels")
-        if labels is not None and len(labels) != len(children):
-            raise ProtocolInvalidError("buyer node labels must match its children")
-        return BuyerNode(children=children, labels=labels)
-    if kind == "seller":
-        children = [parse_protocol(c) for c in data.get("children", [])]
-        if not children:
-            raise ProtocolInvalidError("seller node needs at least one child")
-        table: dict[str, np.ndarray] = {}
-        for row in data.get("transitions", []):
-            w = str(row["omega"])
-            j = int(row["child_index"])
-            p = float(row["p"])
-            if not 0 <= j < len(children):
-                raise ProtocolInvalidError(f"seller transition child_index {j} out of range")
-            if not (np.isfinite(p) and -1e-12 <= p <= 1 + 1e-12):
-                raise ProtocolInvalidError(f"seller transition probability {p} out of [0, 1]")
-            table.setdefault(w, np.zeros(len(children)))[j] += p
-        return SellerNode(children=children, transitions=table)
-    raise ProtocolInvalidError(f"unknown protocol node kind {kind!r}")
+        if not (labels is None or isinstance(labels, list) and len(labels) == len(children)):
+            raise ProtocolInvalidError("buyer node's 'labels' must be a list, one per child")
+        return BuyerNode(children=[], labels=labels), children
+    rows = data.get("transitions", [])
+    if not isinstance(rows, list):
+        raise ProtocolInvalidError("seller node's 'transitions' must be a list of rows")
+    table: dict[str, np.ndarray] = {}
+    for row in rows:
+        for name in ("omega", "child_index", "p"):
+            if not isinstance(row, dict) or name not in row:
+                raise ProtocolInvalidError(f"seller transition row needs field {name!r}")
+        j = row["child_index"]
+        if type(j) is not int or not 0 <= j < len(children):
+            raise ProtocolInvalidError(f"seller transition child_index {j!r} names no child")
+        p = _number(row["p"], "seller transition p", ProtocolInvalidError)
+        if not -1e-12 <= p <= 1 + 1e-12:
+            raise ProtocolInvalidError(f"seller transition probability {p} out of [0, 1]")
+        table.setdefault(str(row["omega"]), np.zeros(len(children)))[j] += p
+    return SellerNode(children=[], transitions=table), children
+
+
+def parse_protocol(data: dict) -> Node:
+    """Build a tree from nested JSON-style dicts (see protocol_to_json_dict),
+    parents first. A malformed node raises ProtocolInvalidError naming the
+    field."""
+    items, kids = _preorder(_parse_node(data),
+                            lambda item: [_parse_node(d) for d in item[1]])
+    for (node, _), below in zip(items, kids):
+        if isinstance(node, TransferNode):
+            node.child = items[below[0]][0]
+        elif below:
+            node.children[:] = [items[c][0] for c in below]
+    return items[0][0]
 
 
 def protocol_to_json_dict(node: Node) -> dict:
-    if isinstance(node, Leaf):
-        return {"kind": "leaf"}
-    if isinstance(node, TransferNode):
-        return {"kind": "transfer", "amount": float(node.amount),
-                "child": protocol_to_json_dict(node.child)}
-    if isinstance(node, BuyerNode):
-        out = {"kind": "buyer",
-               "children": [protocol_to_json_dict(c) for c in node.children]}
-        if node.labels is not None:
-            out["labels"] = list(node.labels)
-        return out
-    if isinstance(node, SellerNode):
-        rows = []
-        for w, probs in node.transitions.items():
-            for j, p in enumerate(probs):
-                if p > 0.0:
-                    rows.append({"omega": w, "child_index": j, "p": float(p)})
-        return {"kind": "seller", "transitions": rows,
-                "children": [protocol_to_json_dict(c) for c in node.children]}
-    raise InputError(f"not a protocol node: {node!r}")
+    nodes, kids = _preorder(node, _node_kids)
+    out: list = [None] * len(nodes)
+    for i in reversed(range(len(nodes))):
+        n, sub = nodes[i], [out[c] for c in kids[i]]
+        if isinstance(n, Leaf):
+            out[i] = {"kind": "leaf"}
+        elif isinstance(n, TransferNode):
+            out[i] = {"kind": "transfer", "amount": float(n.amount), "child": sub[0]}
+        elif isinstance(n, BuyerNode):
+            out[i] = {"kind": "buyer", "children": sub}
+            if n.labels is not None:
+                out[i]["labels"] = list(n.labels)
+        else:
+            rows = [{"omega": w, "child_index": j, "p": float(p)}
+                    for w, probs in n.transitions.items()
+                    for j, p in enumerate(probs) if p > 0.0]
+            out[i] = {"kind": "seller", "transitions": rows, "children": sub}
+    return out[0]
 
 
+KINDS = ("leaf", "transfer", "buyer", "seller")
 LEAF, TRANSFER, BUYER, SELLER = range(4)
 
 
@@ -163,10 +204,11 @@ class CompiledTree:
     """A tree laid out in preorder; a node's id is its position in `nodes`.
 
     kids[i] lists node i's child ids, and the same table in CSR form is
-    child[first[i]:first[i + 1]]. At a seller node with n children,
-    mats[i] is the (state, child) transition matrix, row w's running sums
-    are the n entries of cum from cum_at[i] + w * n, and rowsum[i, w] is
-    that row's total.
+    child[first[i]:first[i + 1]]. arrive[i] is the net payment made on the
+    path down to node i, before its own transfer. At a seller node with n
+    children, mats[i] is the (state, child) transition matrix, row w's
+    running sums are the n entries of cum from cum_at[i] + w * n, and
+    rowsum[i, w] is that row's total.
     """
     nodes: list
     kind: np.ndarray        # LEAF, TRANSFER, BUYER or SELLER
@@ -174,6 +216,7 @@ class CompiledTree:
     first: np.ndarray
     child: np.ndarray
     amount: np.ndarray      # transfer amount; 0 at other nodes
+    arrive: np.ndarray
     mats: list              # None except at seller nodes
     cum: np.ndarray
     cum_at: np.ndarray
@@ -197,33 +240,6 @@ def _seller_rows(node: SellerNode, instance: Instance) -> np.ndarray:
     return mat
 
 
-def _check_seller_budget(nodes: list, kinds: list, kids: list,
-                         seller_budget: float) -> None:
-    """The seller can owe at most her stake M at any point of any path a
-    buyer could force (buyer edges are always considered takeable). One
-    pass in preorder carries each node's cumulative transfer on arrival."""
-    paid: list = [None] * len(nodes)   # None: no forcible path arrives
-    paid[0] = 0.0
-    for i, n in enumerate(nodes):
-        total = paid[i]
-        if total is None:
-            continue
-        if kinds[i] == TRANSFER:
-            total += n.amount
-            if total < -seller_budget - BUDGET_TOL:
-                raise ProtocolInvalidError(
-                    f"a path pays the buyer {-total:g} cumulatively, beyond the "
-                    f"seller's stake {seller_budget:g}")
-        reached = kids[i]
-        if kinds[i] == SELLER:
-            # an edge no state takes is not a path the buyer can force
-            mass = (np.max(list(n.transitions.values()), axis=0) if n.transitions
-                    else np.zeros(len(reached)))
-            reached = [c for c, m in zip(reached, mass) if m > 0.0]
-        for c in reached:
-            paid[c] = total
-
-
 def compile_tree(root: Node, instance: Instance) -> CompiledTree:
     """Lay a tree out in preorder arrays and validate it for `instance`.
 
@@ -232,41 +248,21 @@ def compile_tree(root: Node, instance: Instance) -> CompiledTree:
     stake M (buyer edges always count as takeable, seller edges only when
     some state gives them mass).
     """
-    nodes: list[Node] = []
-    kinds: list[int] = []
-    kids: list[list[int]] = []
-    stack: list[tuple[Node, int]] = [(root, -1)]
-    while stack:
-        n, parent = stack.pop()
-        i = len(nodes)
-        nodes.append(n)
-        kids.append([])
-        if parent >= 0:
-            kids[parent].append(i)
-        if isinstance(n, Leaf):
-            kinds.append(LEAF)
-        elif isinstance(n, TransferNode):
-            kinds.append(TRANSFER)
-            stack.append((n.child, i))
-        elif isinstance(n, (BuyerNode, SellerNode)):
-            kinds.append(BUYER if isinstance(n, BuyerNode) else SELLER)
-            stack.extend((c, i) for c in reversed(n.children))
-        else:
-            raise InputError(f"not a protocol node: {n!r}")
-    _check_seller_budget(nodes, kinds, kids, instance.seller_budget)
-
-    kind = np.array(kinds, dtype=np.int8)
+    nodes, kids = _preorder(root, _node_kids)
+    n = len(nodes)
+    kind = np.array([KINDS.index(node.kind) for node in nodes], dtype=np.int8)
     counts = np.array([len(k) for k in kids], dtype=np.intp)
     first = np.concatenate(([0], np.cumsum(counts)))
     child = np.array([c for k in kids for c in k], dtype=np.intp)
-    amount = np.array([n.amount if kinds[i] == TRANSFER else 0.0
-                       for i, n in enumerate(nodes)], dtype=float)
-    mats: list = [None] * len(nodes)
-    sums, rowsum = [], np.zeros((len(nodes), len(instance.omega)))
-    cum_at = np.zeros(len(nodes), dtype=np.intp)
+    amount = np.array([getattr(node, "amount", 0.0) for node in nodes], dtype=float)
+    mats: list = [None] * n
+    sums, rowsum = [], np.zeros((n, len(instance.omega)))
+    cum_at = np.zeros(n, dtype=np.intp)
+    opened = np.ones(n, dtype=bool)
     at = 0
     for i in np.flatnonzero(kind == SELLER):
         mat = mats[i] = _seller_rows(nodes[i], instance)
+        opened[kids[i]] = mat.max(axis=0) > 0.0
         # along rows, cumsum and sum give each row the same bits as
         # np.cumsum(row) and row.sum(), which a scalar draw would compare
         sums.append(np.cumsum(mat, axis=1).ravel())
@@ -274,9 +270,24 @@ def compile_tree(root: Node, instance: Instance) -> CompiledTree:
         cum_at[i] = at
         at += mat.size
     cum = np.concatenate(sums) if sums else np.zeros(0)
+
+    # one pass in preorder carries each node's payment on arrival, and
+    # whether a buyer can force a path to it: a seller edge that no state
+    # takes is not such a path
+    arrive, amt, forced = [0.0] * n, amount.tolist(), opened.tolist()
+    for i, below in enumerate(kids):
+        for c in below:
+            arrive[c] = arrive[i] + amt[i]
+            forced[c] = forced[c] and forced[i]
+    owed = np.array(arrive) + amount
+    over = np.flatnonzero(np.array(forced) & (owed < -instance.seller_budget - BUDGET_TOL))
+    if over.size:
+        raise ProtocolInvalidError(
+            f"a path pays the buyer {-owed[over[0]]:g} cumulatively, beyond the "
+            f"seller's stake {instance.seller_budget:g}")
     return CompiledTree(nodes=nodes, kind=kind, kids=kids, first=first, child=child,
-                        amount=amount, mats=mats, cum=cum, cum_at=cum_at,
-                        rowsum=rowsum)
+                        amount=amount, arrive=np.array(arrive), mats=mats, cum=cum,
+                        cum_at=cum_at, rowsum=rowsum)
 
 
 # ---------------------------------------------------------------------------
@@ -298,15 +309,13 @@ def evaluate(tree: Node | CompiledTree, instance: Instance) -> EvalResult:
     for this instance.
     """
     ct = tree if isinstance(tree, CompiledTree) else compile_tree(tree, instance)
-    nodes, kids, mats = ct.nodes, ct.kids, ct.mats
-    kind = ct.kind.tolist()
-    amount = ct.amount.tolist()
-    nw = len(instance.omega)
-    util = instance.utility
+    nodes, kids, mats, n = ct.nodes, ct.kids, ct.mats, len(ct.nodes)
+    kind, amount = ct.kind.tolist(), ct.amount.tolist()
+    owed = (ct.arrive + ct.amount).tolist()
     view = prior_view(instance)
 
     buyer_value: dict = {}
-    reach: dict = {i: {} for i in range(len(nodes))}
+    reach: dict = {i: {} for i in range(n)}
     terminal: dict = {}
     strategy: dict = {}
     participates: dict = {}
@@ -315,101 +324,85 @@ def evaluate(tree: Node | CompiledTree, instance: Instance) -> EvalResult:
     for (ti, bi), weight, belief in zip(view.index, view.weights, view.beliefs):
         key = (instance.theta[ti], float(instance.budgets[bi]))
         own_labels = (f"{key[0]}|{key[1]:.12g}", key[0])
-        budget = instance.budgets[bi]
-        uth = util[:, ti, :]
+        limit = instance.budgets[bi] + BUDGET_TOL
+        uth = instance.utility[:, ti, :]
+
+        # path weights, parents first, of the nodes backward induction
+        # visits: none past a transfer the wallet cannot cover, nor under a
+        # buyer node with no mass
+        w: list = [belief.copy()] + [None] * (n - 1)
+        for i in range(n):
+            if w[i] is None or kind[i] == LEAF:
+                continue
+            if kind[i] == SELLER:
+                for j, c in enumerate(kids[i]):
+                    w[c] = w[i] * mats[i][:, j]
+            elif (w[i].sum() > MASS_TOL if kind[i] == BUYER else owed[i] <= limit):
+                for c in kids[i]:
+                    w[c] = w[i]
+
+        # values and choices, children before parents
+        val = [0.0] * n
         choices: dict[int, object] = {}
-
-        def best_action_value(w: np.ndarray) -> float:
-            return max((w @ uth).tolist())
-
-        def value(i: int, w: np.ndarray, spent: float) -> float:
-            k = kind[i]
-            if k == LEAF:
-                return best_action_value(w)
-            if k == TRANSFER:
-                quit_val = best_action_value(w)
-                if spent + amount[i] > budget + BUDGET_TOL:
-                    choices[i] = "quit"
-                    return quit_val
-                pay_val = value(kids[i][0], w, spent + amount[i]) - amount[i] * w.sum()
+        for i in reversed(range(n)):
+            if w[i] is None:
+                continue
+            if kind[i] == SELLER:
+                val[i] = sum(val[c] for c in kids[i])
+                continue
+            quit_val = max((w[i] @ uth).tolist())
+            if kind[i] == LEAF:
+                val[i] = quit_val
+            elif kind[i] == TRANSFER:
+                pay_val = (val[kids[i][0]] - amount[i] * w[i].sum()
+                           if owed[i] <= limit else -np.inf)
                 # leaving is allowed before any payment, not only at buyer
                 # nodes; ties stay (mirrors the weak inequalities downstream)
-                if quit_val > pay_val + TIE_TOL:
-                    choices[i] = "quit"
-                    return quit_val
-                choices[i] = "pay"
-                return pay_val
-            if k == SELLER:
-                mat = mats[i]
-                return sum(value(c, w * mat[:, j], spent)
-                           for j, c in enumerate(kids[i]))
-            # buyer node: pick the best continuation, else walk away
-            live = w.sum() > MASS_TOL
-            vals = [value(c, w, spent) if live else -np.inf for c in kids[i]]
-            quit_val = best_action_value(w)
-            best = max(vals) if vals else -np.inf
-            if quit_val > best + TIE_TOL or not np.isfinite(best):
-                choices[i] = "quit"
-                return quit_val
-            # indifference ladder: an option labeled with the buyer's own
-            # identity wins first (the buyer cooperates when it costs
-            # nothing), then staying beats quitting -- including through a
-            # child that itself quits immediately, since choosing that child
-            # is just quitting relocated -- then lowest index
-            tied = [j for j, v in enumerate(vals) if v >= best - TIE_TOL]
-            labels = nodes[i].labels
-            if labels is not None:
-                for j in tied:
-                    if labels[j] in own_labels:
-                        choices[i] = j
-                        return vals[j]
-            pick = next((j for j in tied if choices.get(kids[i][j]) != "quit"),
-                        tied[0])
-            choices[i] = pick
-            return vals[pick]
+                choices[i] = "quit" if quit_val > pay_val + TIE_TOL else "pay"
+                val[i] = quit_val if choices[i] == "quit" else pay_val
+            else:
+                # buyer node: pick the best continuation, else walk away
+                vals = [val[c] if w[c] is not None else -np.inf for c in kids[i]]
+                best = max(vals, default=-np.inf)
+                if quit_val > best + TIE_TOL or not np.isfinite(best):
+                    choices[i], val[i] = "quit", quit_val
+                    continue
+                # indifference ladder: an option labeled with the buyer's own
+                # identity wins first (the buyer cooperates when it costs
+                # nothing), then staying beats quitting -- including through
+                # a child that itself quits immediately, since choosing that
+                # child is just quitting relocated -- then lowest index
+                tied = [j for j, v in enumerate(vals) if v >= best - TIE_TOL]
+                labels = nodes[i].labels
+                own = [j for j in tied if labels is not None and labels[j] in own_labels]
+                stay = [j for j in tied if choices.get(kids[i][j]) != "quit"]
+                pick = (own + stay + tied)[0]
+                choices[i], val[i] = pick, vals[pick]
 
-        root_val = value(0, belief.copy(), 0.0)
-        outside = best_action_value(belief)
-        participate = root_val >= outside - TIE_TOL
+        outside = max((belief @ uth).tolist())
+        participate = val[0] >= outside - TIE_TOL
         participates[key] = participate
-        buyer_value[key] = float(root_val if participate else outside)
+        buyer_value[key] = float(val[0] if participate else outside)
 
-        # forward pass under the recorded strategy
+        # the play under those choices, in preorder
         ends: dict[int, float] = {}
         paid_expect = 0.0
-
-        def push(i: int, w: np.ndarray) -> None:
-            nonlocal paid_expect
-            reach[i][key] = reach[i].get(key, np.zeros(nw)) + w
-            mass = w.sum()
-            k = kind[i]
-            if k == LEAF:
-                ends[i] = ends.get(i, 0.0) + mass
-                return
-            if k == TRANSFER:
-                if choices.get(i) == "quit":
-                    ends[i] = ends.get(i, 0.0) + mass
-                    return
+        stack = [0] if participate else []
+        while stack:
+            i = stack.pop()
+            reach[i][key] = w[i].copy()
+            mass, pick = w[i].sum(), choices.get(i)
+            if kind[i] == LEAF or pick == "quit":
+                ends[i] = mass
+            elif kind[i] == SELLER:
+                stack += [c for c in reversed(kids[i]) if w[c].sum() > MASS_TOL]
+            elif pick == "pay":
                 paid_expect += amount[i] * mass
-                push(kids[i][0], w)
-                return
-            if k == SELLER:
-                mat = mats[i]
-                for j, c in enumerate(kids[i]):
-                    wj = w * mat[:, j]
-                    if wj.sum() > MASS_TOL:
-                        push(c, wj)
-                return
-            pick = choices.get(i, "quit")
-            if pick == "quit":
-                ends[i] = ends.get(i, 0.0) + mass
+                stack.append(kids[i][0])
             else:
-                push(kids[i][pick], w)
-
-        if participate:
-            push(0, belief.copy())
-        else:
-            reach[0][key] = np.zeros(nw)
+                stack.append(kids[i][pick])
+        if not participate:
+            reach[0][key] = np.zeros(len(instance.omega))
             ends[0] = 1.0
 
         terminal[key] = ends
@@ -436,32 +429,37 @@ def to_revelation(tree: Node, instance: Instance) -> Node:
     """
     ct = compile_tree(tree, instance)
     res = evaluate(ct, instance)
-
-    def resolve(i: int, choices: dict) -> Node:
-        n = ct.nodes[i]
-        if isinstance(n, Leaf):
-            return Leaf()
-        if isinstance(n, TransferNode):
-            if choices.get(i) == "quit":
-                return Leaf()
-            return TransferNode(amount=n.amount, child=resolve(ct.kids[i][0], choices))
-        if isinstance(n, SellerNode):
-            return SellerNode(
-                children=[resolve(c, choices) for c in ct.kids[i]],
-                transitions={w: probs.copy() for w, probs in n.transitions.items()})
-        pick = choices.get(i, "quit")
-        if pick == "quit":
-            return Leaf()
-        return resolve(ct.kids[i][pick], choices)
-
-    subtrees, labels = [], []
+    nodes, kids, kind = ct.nodes, ct.kids, ct.kind.tolist()
+    collapsed = BuyerNode(children=[], labels=[])
     for ti, bi in positive_types(instance):
         key = (instance.theta[ti], float(instance.budgets[bi]))
-        sub = (resolve(0, res.strategy[key]) if res.participates[key]
-               else Leaf())
-        subtrees.append(sub)
-        labels.append(f"{key[0]}|{key[1]:.12g}")
-    return BuyerNode(children=subtrees, labels=labels)
+        collapsed.labels.append(f"{key[0]}|{key[1]:.12g}")
+        if not res.participates[key]:
+            collapsed.children.append(Leaf())
+            continue
+        # rebuilt parents first, from only the positions the type's play
+        # reaches: a buyer node gives way to its pick, and a quit to a leaf
+        choices, stack = res.strategy[key], [(0, collapsed)]
+        while stack:
+            i, above = stack.pop()
+            pick = choices.get(i, "quit")
+            if kind[i] == BUYER and pick != "quit":
+                stack.append((kids[i][pick], above))
+                continue
+            if kind[i] == SELLER:
+                node = SellerNode(children=[], transitions={
+                    w: probs.copy() for w, probs in nodes[i].transitions.items()})
+                stack += [(c, node) for c in reversed(kids[i])]
+            elif kind[i] == TRANSFER and pick == "pay":
+                node = TransferNode(amount=nodes[i].amount, child=None)
+                stack.append((kids[i][0], node))
+            else:
+                node = Leaf()
+            if isinstance(above, TransferNode):
+                above.child = node
+            else:
+                above.children.append(node)
+    return collapsed
 
 
 # ---------------------------------------------------------------------------

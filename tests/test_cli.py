@@ -298,3 +298,58 @@ def test_deeply_nested_protocol_is_an_input_error(box_file, tmp_path, capsys):
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1 and str(deep) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("mutate, word", [
+    (lambda t: t["children"][0].update(amount="abc"), "amount"),
+    (lambda t: t["children"][0]["child"].update(transitions={"0": [1.0, 0.0]}),
+     "transitions"),
+    (lambda t: t.update(labels=5), "labels"),
+    (lambda t: t["children"][0]["child"]["transitions"][0].pop("p"), "'p'"),
+    (lambda t: t.update(children={"first": {"kind": "leaf"}}), "children"),
+    (lambda t: t["children"][0]["child"]["transitions"][0].update(child_index=0.5),
+     "child_index"),
+    (lambda t: t["children"][0]["child"]["transitions"][0].update(child_index="0"),
+     "child_index"),
+], ids=["string-amount", "transitions-object", "number-labels", "row-without-p",
+        "children-object", "fractional-child_index", "string-child_index"])
+def test_malformed_protocol_fields_are_input_errors(box_file, tmp_path, capsys,
+                                                    mutate, word):
+    tree = protocol_to_json_dict(two_option_tree())
+    mutate(tree)
+    path = tmp_path / "bad.protocol.json"
+    path.write_text(json.dumps(tree))
+    code = main(["simulate", "--instance", str(box_file), "--protocol", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and word in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field, value, word", [
+    ("prior", None, "prior"),
+    ("utility", None, "utility"),
+    ("prior", ["row"], "prior"),
+    ("omega", "01", "omega"),
+    ("budgets", "5", "budgets"),
+])
+def test_malformed_instance_fields_are_input_errors(box_file, capsys, field, value, word):
+    data = json.loads(box_file.read_text())
+    data[field] = value
+    box_file.write_text(json.dumps(data))
+    code = main(["solve", "--instance", str(box_file), "--mechanism", "depr"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and word in err
+    assert "Traceback" not in err
+
+
+def test_nan_prior_entry_is_an_input_error(box_file, capsys):
+    # a NaN compares false both ways, so no range test alone can catch it
+    data = json.loads(box_file.read_text())
+    data["prior"][0]["p"] = float("nan")
+    box_file.write_text(json.dumps(data))
+    code = main(["solve", "--instance", str(box_file), "--mechanism", "depr"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: prior entries must be finite and nonnegative\n"

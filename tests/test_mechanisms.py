@@ -224,3 +224,12 @@ def test_kernel_cleanup_merges_real_regret_only():
     assert np.array_equal(_clean_kernel(rows, belief, tied), rows)
     worse = np.stack([u0, u0 + 1e-3], axis=-1)[None]
     assert np.array_equal(_clean_kernel(rows, belief, worse), rows[:, :, ::-1])
+
+
+def test_revenue_cap_is_never_negative():
+    # draws 3 and 117 have a pair whose value of full information is 0, and
+    # rounding puts the difference of its two terms just below 0
+    rng = np.random.default_rng(20260501)
+    draws = [random_independent_instance(rng) for _ in range(118)]
+    for k in (3, 117):
+        assert revenue_cap(draws[k]) >= 0.0

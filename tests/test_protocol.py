@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +10,10 @@ from infosale import (BuyerNode, Leaf, ProtocolInvalidError, SellerNode,
                       protocol_to_json_dict, simulate, solve_cm_depr,
                       solve_cm_dirp, solve_cm_probr, solve_single_round,
                       to_revelation, treasure_box, two_option_tree)
-from infosale.protocol import SIM_BLOCK, _seller_rows
+from infosale.model import positive_types, prior_view
+from infosale.protocol import (BUDGET_TOL, LEAF, MASS_TOL, SELLER, SIM_BLOCK,
+                               TIE_TOL, TRANSFER, EvalResult, _seller_rows,
+                               compile_tree)
 from infosale.random_instances import (random_correlated_instance,
                                        random_independent_instance, random_tree)
 
@@ -302,3 +306,205 @@ def test_simulate_carries_a_trial_across_blocks(box):
     trials = 2 * SIM_BLOCK
     assert SIM_BLOCK % 5 != 0
     assert_same_stream(tree, box, trials, seed=11)
+
+
+# -- evaluate and to_revelation against the recursive walks -------------------
+
+def reference_evaluate(tree, instance):
+    """evaluate as recursive backward induction and a recursive forward
+    pass, the way it worked before it looped over the preorder layout."""
+    ct = compile_tree(tree, instance)
+    nodes, kids, mats = ct.nodes, ct.kids, ct.mats
+    kind = ct.kind.tolist()
+    amount = ct.amount.tolist()
+    nw = len(instance.omega)
+    util = instance.utility
+    view = prior_view(instance)
+
+    buyer_value: dict = {}
+    reach: dict = {i: {} for i in range(len(nodes))}
+    terminal: dict = {}
+    strategy: dict = {}
+    participates: dict = {}
+    revenue = 0.0
+
+    for (ti, bi), weight, belief in zip(view.index, view.weights, view.beliefs):
+        key = (instance.theta[ti], float(instance.budgets[bi]))
+        own_labels = (f"{key[0]}|{key[1]:.12g}", key[0])
+        budget = instance.budgets[bi]
+        uth = util[:, ti, :]
+        choices: dict[int, object] = {}
+
+        def best_action_value(w: np.ndarray) -> float:
+            return max((w @ uth).tolist())
+
+        def value(i: int, w: np.ndarray, spent: float) -> float:
+            k = kind[i]
+            if k == LEAF:
+                return best_action_value(w)
+            if k == TRANSFER:
+                quit_val = best_action_value(w)
+                if spent + amount[i] > budget + BUDGET_TOL:
+                    choices[i] = "quit"
+                    return quit_val
+                pay_val = value(kids[i][0], w, spent + amount[i]) - amount[i] * w.sum()
+                if quit_val > pay_val + TIE_TOL:
+                    choices[i] = "quit"
+                    return quit_val
+                choices[i] = "pay"
+                return pay_val
+            if k == SELLER:
+                mat = mats[i]
+                return sum(value(c, w * mat[:, j], spent)
+                           for j, c in enumerate(kids[i]))
+            live = w.sum() > MASS_TOL
+            vals = [value(c, w, spent) if live else -np.inf for c in kids[i]]
+            quit_val = best_action_value(w)
+            best = max(vals) if vals else -np.inf
+            if quit_val > best + TIE_TOL or not np.isfinite(best):
+                choices[i] = "quit"
+                return quit_val
+            tied = [j for j, v in enumerate(vals) if v >= best - TIE_TOL]
+            labels = nodes[i].labels
+            if labels is not None:
+                for j in tied:
+                    if labels[j] in own_labels:
+                        choices[i] = j
+                        return vals[j]
+            pick = next((j for j in tied if choices.get(kids[i][j]) != "quit"),
+                        tied[0])
+            choices[i] = pick
+            return vals[pick]
+
+        root_val = value(0, belief.copy(), 0.0)
+        outside = best_action_value(belief)
+        participate = root_val >= outside - TIE_TOL
+        participates[key] = participate
+        buyer_value[key] = float(root_val if participate else outside)
+
+        ends: dict[int, float] = {}
+        paid_expect = 0.0
+
+        def push(i: int, w: np.ndarray) -> None:
+            nonlocal paid_expect
+            reach[i][key] = reach[i].get(key, np.zeros(nw)) + w
+            mass = w.sum()
+            k = kind[i]
+            if k == LEAF:
+                ends[i] = ends.get(i, 0.0) + mass
+                return
+            if k == TRANSFER:
+                if choices.get(i) == "quit":
+                    ends[i] = ends.get(i, 0.0) + mass
+                    return
+                paid_expect += amount[i] * mass
+                push(kids[i][0], w)
+                return
+            if k == SELLER:
+                mat = mats[i]
+                for j, c in enumerate(kids[i]):
+                    wj = w * mat[:, j]
+                    if wj.sum() > MASS_TOL:
+                        push(c, wj)
+                return
+            pick = choices.get(i, "quit")
+            if pick == "quit":
+                ends[i] = ends.get(i, 0.0) + mass
+            else:
+                push(kids[i][pick], w)
+
+        if participate:
+            push(0, belief.copy())
+        else:
+            reach[0][key] = np.zeros(nw)
+            ends[0] = 1.0
+
+        terminal[key] = ends
+        strategy[key] = choices
+        revenue += weight * paid_expect
+
+    return EvalResult(buyer_value=buyer_value, revenue=float(revenue),
+                      reach=reach, terminal=terminal, strategy=strategy,
+                      participates=participates, nodes=nodes)
+
+
+def reference_to_revelation(tree, instance):
+    """to_revelation as a recursive rebuild of each type's play."""
+    ct = compile_tree(tree, instance)
+    res = reference_evaluate(ct.nodes[0], instance)
+
+    def resolve(i, choices):
+        n = ct.nodes[i]
+        if isinstance(n, Leaf):
+            return Leaf()
+        if isinstance(n, TransferNode):
+            if choices.get(i) == "quit":
+                return Leaf()
+            return TransferNode(amount=n.amount, child=resolve(ct.kids[i][0], choices))
+        if isinstance(n, SellerNode):
+            return SellerNode(
+                children=[resolve(c, choices) for c in ct.kids[i]],
+                transitions={w: probs.copy() for w, probs in n.transitions.items()})
+        pick = choices.get(i, "quit")
+        if pick == "quit":
+            return Leaf()
+        return resolve(ct.kids[i][pick], choices)
+
+    subtrees, labels = [], []
+    for ti, bi in positive_types(instance):
+        key = (instance.theta[ti], float(instance.budgets[bi]))
+        subtrees.append(resolve(0, res.strategy[key]) if res.participates[key]
+                        else Leaf())
+        labels.append(f"{key[0]}|{key[1]:.12g}")
+    return BuyerNode(children=subtrees, labels=labels)
+
+
+@pytest.mark.parametrize("tree, instance, k", stream_cases())
+def test_evaluate_matches_the_recursive_walk(tree, instance, k):
+    got, want = evaluate(tree, instance), reference_evaluate(tree, instance)
+    assert got.buyer_value == want.buyer_value
+    assert got.revenue == want.revenue
+    assert got.terminal == want.terminal
+    assert got.strategy == want.strategy
+    assert got.participates == want.participates
+    assert all(a is b for a, b in zip(got.nodes, want.nodes))
+    assert len(got.nodes) == len(want.nodes)
+    assert got.reach.keys() == want.reach.keys()
+    arrays = []
+    for i, per_type in got.reach.items():
+        assert list(per_type) == list(want.reach[i])
+        for key, w in per_type.items():
+            assert np.array_equal(w, want.reach[i][key])
+            arrays.append(w)
+    # every reach entry owns its data: none is a view of another
+    assert all(w.base is None for w in arrays)
+    assert len({id(w) for w in arrays}) == len(arrays)
+
+
+@pytest.mark.parametrize("tree, instance, k", stream_cases())
+def test_to_revelation_matches_the_recursive_rebuild(tree, instance, k):
+    got = protocol_to_json_dict(to_revelation(tree, instance))
+    want = protocol_to_json_dict(reference_to_revelation(tree, instance))
+    assert json.dumps(got) == json.dumps(want)
+
+
+# -- trees deeper than the recursion limit -------------------------------------
+
+def test_every_walker_runs_a_chain_deeper_than_the_recursion_limit(box):
+    # 5,000 buyer nodes, each offering only to go on and pay 0.001 more,
+    # above a seller node that reveals the state: every type pays 5 in all
+    tree = full_info_seller(box)
+    for _ in range(5000):
+        tree = BuyerNode(children=[TransferNode(0.001, tree)])
+    assert 10_000 > sys.getrecursionlimit()
+    res = evaluate(tree, box)
+    assert res.revenue == pytest.approx(5.0, abs=1e-9)
+    out = simulate(tree, box, 200, np.random.default_rng(0))
+    assert out["trials"] == 200
+    assert out["mean_revenue"] == pytest.approx(5.0, abs=1e-9)
+    rev = to_revelation(tree, box)
+    assert evaluate(rev, box).revenue == pytest.approx(5.0, abs=1e-9)
+    data = protocol_to_json_dict(tree)
+    again = parse_protocol(data)
+    assert len(compile_tree(again, box).nodes) == len(res.nodes)
+    assert evaluate(again, box).revenue == res.revenue
