@@ -1,11 +1,14 @@
 """Thin LP modeling layer over scipy's HiGHS backend.
 
-Variables and constraints are added by name and integer handle; solve()
-assembles sparse matrices, runs HiGHS (its simplex for a pure LP, its
-branch-and-bound once any column is integer), maps its status onto a small
-enum, and re-checks the returned point against every constraint and
-integrality requirement with independent arithmetic — a solution is never
-trusted on the solver's word alone.
+A program is held as arrays: columns come in named blocks of any shape
+(add_block returns the block's column ids as an array of that shape), and
+rows come in named families, each one sense with a (rows, terms) grid of
+column ids and coefficients and one right-hand side per row (add_rows).
+solve() stacks the families' COO triples into sparse matrices, runs HiGHS
+(its simplex for a pure LP, its branch-and-bound once any column is
+integer), maps its status onto a small enum, and re-checks the returned
+point against every row, bound and integrality requirement with its own
+sparse products — a solution is never trusted on the solver's word alone.
 """
 
 from __future__ import annotations
@@ -30,89 +33,101 @@ _SENSES = ("<=", ">=", "==")
 
 @dataclass
 class LPSolution:
-    """A solved program: variable values by handle plus the objective."""
+    """A solved program: values by column id plus the objective."""
 
     values: np.ndarray
     objective: float
     status: str
 
-    def __getitem__(self, handle: int) -> float:
-        return float(self.values[handle])
+
+def _label(name: str, shape: tuple, flat: int) -> str:
+    """`name[i,j,...]` for entry `flat` of a block or family of `shape`."""
+    index = ",".join(str(int(k)) for k in np.unravel_index(flat, shape))
+    return f"{name}[{index}]" if shape else name
 
 
 @dataclass
 class LinearProgram:
-    """Incrementally built LP, maximized by default.
+    """LP built from column blocks and row families, maximized by default.
 
     Typical use:
         lp = LinearProgram("toy")
-        x = lp.add_variable("x", 0.0, 10.0)
-        lp.add_constraint("cap", [(x, 1.0)], "<=", 4.0)
-        lp.set_objective([(x, 3.0)])
+        x = lp.add_block("x", 2, 0.0, 10.0)
+        lp.add_rows("cap", x, [1.0, 1.0], "<=", 4.0)
+        lp.set_objective(x, [3.0, 1.0])
         sol = lp.solve()
     """
 
     name: str = "lp"
     maximize: bool = True
-    _names: list[str] = field(default_factory=list)
-    _lb: list[float] = field(default_factory=list)
-    _ub: list[float] = field(default_factory=list)
-    _obj: dict[int, float] = field(default_factory=dict)
-    _rows: list[tuple[str, list[tuple[int, float]], str, float]] = field(default_factory=list)
-    _integer: list[int] = field(default_factory=list)
+    # (name, shape, lb, ub, integer) per block; (name, shape, "ub" or "eq",
+    # cols, coefs, rhs) per family, cols and coefs (rows, terms) and >= rows
+    # negated into HiGHS's A_ub x <= b_ub
+    _blocks: list[tuple] = field(default_factory=list)
+    _families: list[tuple] = field(default_factory=list)
+    _objective: tuple[np.ndarray, np.ndarray] = (np.zeros(0, int), np.zeros(0))
+    _n: int = 0
 
-    def add_variable(self, name: str, lb: float = 0.0, ub: float | None = None,
-                     integer: bool = False) -> int:
-        """Register a variable; returns its integer handle (the LP column).
+    def add_block(self, name: str, shape, lb: float | None = 0.0, ub: float | None = None,
+                  integer: bool = False) -> np.ndarray:
+        """Register a block of columns; returns their ids shaped `shape`.
 
-        An integer variable makes the program a mixed-integer one.
+        lb and ub broadcast to the block (None means unbounded); integer
+        columns make the program a mixed-integer one.
         """
-        self._names.append(name)
-        self._lb.append(-np.inf if lb is None else float(lb))
-        self._ub.append(np.inf if ub is None else float(ub))
-        handle = len(self._names) - 1
-        if integer:
-            self._integer.append(handle)
-        return handle
+        ids = self._n + np.arange(int(np.prod(shape))).reshape(shape)
+        lb, ub = (np.broadcast_to(np.asarray(free if v is None else v, dtype=float),
+                                  ids.shape).ravel() for v, free in ((lb, -np.inf), (ub, np.inf)))
+        self._blocks.append((name, ids.shape, lb, ub, np.full(ids.size, float(integer))))
+        self._n += ids.size
+        return ids
 
-    def add_constraint(self, name: str, coeffs: list[tuple[int, float]],
-                       sense: str, rhs: float) -> None:
+    def add_rows(self, name: str, cols, coefs, sense: str, rhs) -> None:
+        """Add a family of rows sum_k coefs[..., k] * x[cols[..., k]] (sense) rhs.
+
+        cols and coefs broadcast to (*rows, terms) and rhs to rows; a column
+        id of -1 is no term, so rows of one family may differ in length. A
+        row's name in the re-check is `name[index]` over that row grid.
+        """
         if sense not in _SENSES:
             raise ValueError(f"sense must be one of {_SENSES}, got {sense!r}")
-        self._rows.append((name, coeffs, sense, float(rhs)))
+        cols, coefs = np.broadcast_arrays(np.asarray(cols), np.asarray(coefs, dtype=float))
+        shape, terms = cols.shape[:-1], cols.shape[-1]
+        sign = -1.0 if sense == ">=" else 1.0
+        self._families.append((name, shape, "eq" if sense == "==" else "ub",
+                               cols.reshape(-1, terms), sign * coefs.reshape(-1, terms),
+                               sign * np.broadcast_to(np.asarray(rhs, dtype=float), shape).ravel()))
 
-    def set_objective(self, coeffs: list[tuple[int, float]], maximize: bool = True) -> None:
+    def set_objective(self, cols, coefs, maximize: bool = True) -> None:
+        """Objective sum coefs * x[cols]; a repeated column adds up."""
         self.maximize = maximize
-        self._obj = {}
-        for handle, coef in coeffs:
-            self._obj[handle] = self._obj.get(handle, 0.0) + coef
+        cols, coefs = np.broadcast_arrays(np.asarray(cols), np.asarray(coefs, dtype=float))
+        self._objective = cols.ravel(), coefs.ravel()
 
-    def _assemble(self):
-        n = len(self._names)
-        c = np.zeros(n)
-        for handle, coef in self._obj.items():
-            c[handle] = coef
-        if self.maximize:
-            c = -c
-        ub_data, ub_i, ub_j, ub_rhs = [], [], [], []
-        eq_data, eq_i, eq_j, eq_rhs = [], [], [], []
-        for _, coeffs, sense, rhs in self._rows:
-            if sense == "==":
-                row = len(eq_rhs)
-                for handle, coef in coeffs:
-                    eq_i.append(row); eq_j.append(handle); eq_data.append(coef)
-                eq_rhs.append(rhs)
-            else:
-                # flip >= rows into <= form
-                sign = 1.0 if sense == "<=" else -1.0
-                row = len(ub_rhs)
-                for handle, coef in coeffs:
-                    ub_i.append(row); ub_j.append(handle); ub_data.append(sign * coef)
-                ub_rhs.append(sign * rhs)
-        A_ub = csr_matrix((ub_data, (ub_i, ub_j)), shape=(len(ub_rhs), n)) if ub_rhs else None
-        A_eq = csr_matrix((eq_data, (eq_i, eq_j)), shape=(len(eq_rhs), n)) if eq_rhs else None
-        bounds = list(zip(self._lb, self._ub))
-        return c, A_ub, np.array(ub_rhs), A_eq, np.array(eq_rhs), bounds
+    def _assemble(self) -> dict:
+        """The program as arrays: the objective c (as stated), the bounds and
+        integrality marks, A_ub x <= b_ub and A_eq x == b_eq, and the
+        (name, shape) and first index of every block and family."""
+        c = np.zeros(self._n)
+        np.add.at(c, *self._objective)
+        lb, ub, integer = (np.concatenate([[], *(b[k] for b in self._blocks)]) for k in (2, 3, 4))
+        out = {"c": c, "lb": lb, "ub": ub, "integer": integer,
+               "blocks": ([b[:2] for b in self._blocks],
+                          np.cumsum([0] + [len(b[2]) for b in self._blocks]))}
+        for kind in ("ub", "eq"):
+            families = [f for f in self._families if f[2] == kind]
+            starts = np.cumsum([0] + [len(f[5]) for f in families])
+            out[f"{kind}_families"] = [f[:2] for f in families], starts
+            out[f"A_{kind}"] = out[f"b_{kind}"] = None
+            if starts[-1]:
+                rows = np.concatenate([np.repeat(np.arange(start, start + len(f[5])), f[3].shape[1])
+                                       for f, start in zip(families, starts)])
+                cols, data = (np.concatenate([f[k].ravel() for f in families]) for k in (3, 4))
+                term = cols >= 0
+                out[f"A_{kind}"] = csr_matrix((data[term], (rows[term], cols[term])),
+                                              shape=(starts[-1], self._n))
+                out[f"b_{kind}"] = np.concatenate([f[5] for f in families])
+        return out
 
     def solve(self) -> LPSolution:
         """Run HiGHS; raises SolverFailure unless a verified optimum returns.
@@ -120,13 +135,14 @@ class LinearProgram:
         The SolverFailure's status (INFEASIBLE, UNBOUNDED, "recheck" or
         "error") lets callers tell a bad input from a solver breakdown.
         """
-        c, A_ub, b_ub, A_eq, b_eq, bounds = self._assemble()
-        if self._integer:
-            result = self._solve_mip(c, A_ub, b_ub, A_eq, b_eq)
+        lp = self._assemble()
+        c = -lp["c"] if self.maximize else lp["c"]
+        if lp["integer"].any():
+            result = self._solve_mip(c, lp)
         else:
-            result = linprog(c, A_ub=A_ub, b_ub=b_ub if A_ub is not None else None,
-                             A_eq=A_eq, b_eq=b_eq if A_eq is not None else None,
-                             bounds=bounds, method="highs")
+            result = linprog(c, A_ub=lp["A_ub"], b_ub=lp["b_ub"], A_eq=lp["A_eq"],
+                             b_eq=lp["b_eq"], bounds=np.column_stack([lp["lb"], lp["ub"]]),
+                             method="highs")
         if result.status == 2:
             raise SolverFailure(f"{self.name}: program infeasible", status=INFEASIBLE)
         if result.status == 3:
@@ -135,55 +151,47 @@ class LinearProgram:
             raise SolverFailure(f"{self.name}: solver returned status "
                                 f"{result.status} ({result.message})")
         values = np.asarray(result.x, dtype=float)
-        objective = float(self._eval_objective(values))
-        worst, row_name = self.max_violation(values)
+        worst, row_name = self._violation(values, lp)
         if worst > FEAS_TOL:
             raise SolverFailure(f"{self.name}: solver point violates {row_name!r} "
                                 f"by {worst:.3g} (> {FEAS_TOL:g})", status="recheck")
-        return LPSolution(values=values, objective=objective, status=OPTIMAL)
+        return LPSolution(values=values, objective=float(lp["c"] @ values), status=OPTIMAL)
 
-    def _solve_mip(self, c, A_ub, b_ub, A_eq, b_eq):
-        """HiGHS branch-and-bound on the assembled rows; its status codes
-        (0 optimal, 2 infeasible, 3 unbounded) match linprog's."""
+    @staticmethod
+    def _solve_mip(c, lp: dict):
+        """HiGHS branch-and-bound on the assembled rows; status codes as linprog's."""
         constraints = []
-        if A_ub is not None:
-            constraints.append(LinearConstraint(A_ub, -np.inf, b_ub))
-        if A_eq is not None:
-            constraints.append(LinearConstraint(A_eq, b_eq, b_eq))
-        integrality = np.zeros(len(c))
-        integrality[self._integer] = 1
+        if lp["A_ub"] is not None:
+            constraints.append(LinearConstraint(lp["A_ub"], -np.inf, lp["b_ub"]))
+        if lp["A_eq"] is not None:
+            constraints.append(LinearConstraint(lp["A_eq"], lp["b_eq"], lp["b_eq"]))
         # HiGHS's default relative gap (1e-4) would let branch-and-bound stop
         # at a visibly worse answer
-        return milp(c, integrality=integrality, bounds=Bounds(self._lb, self._ub),
+        return milp(c, integrality=lp["integer"], bounds=Bounds(lp["lb"], lp["ub"]),
                     constraints=constraints, options={"mip_rel_gap": 1e-9})
 
-    def _eval_objective(self, values: np.ndarray) -> float:
-        return sum(coef * values[handle] for handle, coef in self._obj.items())
-
     def max_violation(self, values: np.ndarray) -> tuple[float, str]:
-        """Largest constraint/bound/integrality violation at the point, with
-        its name.
+        """Largest row/bound/integrality violation at the point, with its
+        name (`family[index]`, `bound:block[index]` or
+        `integrality:block[index]`); (0.0, "") when nothing is violated.
 
-        This is the independent feasibility pass: plain dot products, no
+        This is the independent feasibility pass: plain sparse products, no
         solver state involved.
         """
+        return self._violation(np.asarray(values, dtype=float), self._assemble())
+
+    def _violation(self, x: np.ndarray, lp: dict) -> tuple[float, str]:
+        gaps = [(np.maximum(lp["lb"] - x, x - lp["ub"]), "bound:", lp["blocks"]),
+                (np.where(lp["integer"] > 0, np.abs(x - np.round(x)), 0.0),
+                 "integrality:", lp["blocks"])]
+        if lp["A_ub"] is not None:
+            gaps.append((lp["A_ub"] @ x - lp["b_ub"], "", lp["ub_families"]))
+        if lp["A_eq"] is not None:
+            gaps.append((np.abs(lp["A_eq"] @ x - lp["b_eq"]), "", lp["eq_families"]))
         worst, worst_name = 0.0, ""
-        for i, (lb, ub) in enumerate(zip(self._lb, self._ub)):
-            gap = max(lb - values[i], values[i] - ub)
-            if gap > worst:
-                worst, worst_name = gap, f"bound:{self._names[i]}"
-        for i in self._integer:
-            gap = abs(values[i] - round(values[i]))
-            if gap > worst:
-                worst, worst_name = gap, f"integrality:{self._names[i]}"
-        for name, coeffs, sense, rhs in self._rows:
-            lhs = sum(coef * values[handle] for handle, coef in coeffs)
-            if sense == "<=":
-                gap = lhs - rhs
-            elif sense == ">=":
-                gap = rhs - lhs
-            else:
-                gap = abs(lhs - rhs)
-            if gap > worst:
-                worst, worst_name = gap, name
+        for gap, prefix, (labels, starts) in gaps:
+            if len(gap) and gap.max() > worst:
+                k = int(np.argmax(gap))
+                g = int(np.searchsorted(starts, k, side="right")) - 1
+                worst, worst_name = float(gap[k]), prefix + _label(*labels[g], k - starts[g])
         return worst, worst_name

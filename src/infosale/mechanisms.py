@@ -131,6 +131,12 @@ DirectMechanism = DepositReturnMechanism = ProbReturnMechanism = Mechanism = Men
 # ---------------------------------------------------------------------------
 
 
+def affordable(cost, b):
+    """Whether a wallet of b covers cost, up to 1e-9: the one affordability
+    rule of buyers, checks and single-round cutoffs (arrays broadcast)."""
+    return cost <= b + 1e-9
+
+
 def _require_independent(instance: Instance, what: str) -> None:
     if not is_independent(instance):
         raise PreconditionError(
@@ -168,6 +174,32 @@ def _clean_kernel(rows: np.ndarray, belief: np.ndarray, util: np.ndarray) -> np.
     return np.einsum("iwc,icd->iwd", rows, np.eye(len(cols))[target])
 
 
+def _join(grid: tuple, *parts) -> np.ndarray:
+    """Terms of a row family over `grid`: each part (its last axis lists
+    terms; a scalar is one) is broadcast over the grid, then all are joined."""
+    parts = [np.asarray(x).reshape(np.shape(x) or (1,)) for x in parts]
+    return np.concatenate([np.broadcast_to(x, grid + x.shape[-1:]) for x in parts], axis=-1)
+
+
+def _add_interleaved(lp: LinearProgram, name: str, *tables) -> None:
+    """Add row tables (owner, sense, cols, coefs, rhs) to lp as one >= family.
+
+    cols is (rows, terms); coefs, rhs and owner broadcast to it. Rows run in
+    order of owner and, within one owner, of table; a <= table is negated,
+    and a row shorter than the widest is padded with column -1 (no term).
+    """
+    width = max(cols.shape[1] for _, _, cols, _, _ in tables)
+    parts = [(np.broadcast_to(owner, len(cols)),
+              np.pad(cols, ((0, 0), (0, width - cols.shape[1])), constant_values=-1),
+              np.pad(sign * np.broadcast_to(coefs, cols.shape), ((0, 0), (0, width - cols.shape[1]))),
+              sign * np.broadcast_to(rhs, len(cols)))
+             for owner, sense, cols, coefs, rhs in tables
+             for sign in [-1.0 if sense == "<=" else 1.0]]
+    owner, cols, coefs, rhs = (np.concatenate(x) for x in zip(*parts))
+    order = np.argsort(owner, kind="stable")
+    lp.add_rows(name, cols[order], coefs[order], ">=", rhs[order])
+
+
 def _menu_labels(view: PriorView) -> tuple[tuple[str, float], ...]:
     return tuple((view.instance.theta[ti], view.instance.budgets[bi]) for ti, bi in view.index)
 
@@ -182,73 +214,64 @@ def _add_deposit_model(lp: LinearProgram, instance: Instance, menu, weights, ic_
     """Common model of the direct, deposit and single-round menus, added to lp.
 
     `menu` lists each entry's (theta index, budget) and `weights` its
-    revenue weight. Variables: a recommendation kernel p_i(omega, a) and a
-    price t_i per menu entry i, plus epigraph variables linearizing the
+    revenue weight. Columns: a recommendation kernel p_i(omega, a) and a
+    price t_i per menu entry i, plus epigraph columns z linearizing the
     deviator's per-recommendation best response. `ic_pairs` lists the
     (truth i, report j) constraints to impose; `t_bounds` gives each
-    price's box; `ic_relax` maps a pair to extra terms on its truthfulness
-    row. The evaluation measure everywhere is the common state prior.
-    Returns the handle arrays (p, t).
+    price's box; `ic_relax`, a (columns, coefficients) pair of arrays with
+    one row per pair (column -1 for no term), adds terms to the
+    truthfulness rows. The evaluation measure everywhere is the common
+    state prior. Returns the column-id arrays (p, t).
     """
     mu_w = instance.omega_marginal()
     nw, na = len(instance.omega), len(instance.actions)
-    util = instance.utility
-    ic_relax = ic_relax or {}
+    m, n_pairs = len(menu), len(ic_pairs)
+    types = np.array([ti for ti, _ in menu], dtype=int)
+    util = instance.utility[:, types, :].transpose(1, 0, 2)            # (m, nw, na)
 
-    p = np.empty((len(menu), nw, na), dtype=int)
-    for i in range(len(menu)):
-        for w in range(nw):
-            for a in range(na):
-                p[i, w, a] = lp.add_variable(f"p[{i},{w},{a}]", 0.0, 1.0)
-    t = np.array([lp.add_variable(f"t[{i}]", *t_bounds[i]) for i in range(len(menu))])
+    p = lp.add_block("p", (m, nw, na), 0.0, 1.0)
+    lo, hi = np.array(t_bounds, dtype=float).reshape(m, 2).T
+    t = lp.add_block("t", m, lo, hi)
+    lp.set_objective(t, weights)
+    lp.add_rows("rowsum", p, 1.0, "==", 1.0)
 
-    lp.set_objective([(t[i], weights[i]) for i in range(len(menu))])
-
-    for i, (ti, _) in enumerate(menu):
-        for w in range(nw):
-            lp.add_constraint(f"rowsum[{i},{w}]",
-                              [(p[i, w, a], 1.0) for a in range(na)], "==", 1.0)
-        # following the recommendation beats any remap, state by state in
-        # expectation under the prior
-        for a in range(na):
-            for a2 in range(na):
-                if a2 == a:
-                    continue
-                lp.add_constraint(
-                    f"ob[{i},{a},{a2}]",
-                    [(p[i, w, a], mu_w[w] * (util[w, ti, a] - util[w, ti, a2]))
-                     for w in range(nw)], ">=", 0.0)
-        # participating truthfully beats acting on the prior alone
-        truth_terms = [(p[i, w, a], mu_w[w] * util[w, ti, a])
-                       for w in range(nw) for a in range(na)]
-        for a2 in range(na):
-            outside = float(mu_w @ util[:, ti, a2])
-            lp.add_constraint(f"ir[{i},{a2}]",
-                              truth_terms + [(t[i], -1.0)], ">=", outside)
+    # following the recommendation beats any remap a -> a2, state by state in
+    # expectation under the prior
+    entries = np.arange(m)
+    a, a2 = np.nonzero(~np.eye(na, dtype=bool))
+    ob = (mu_w[:, None] * (util[:, :, a] - util[:, :, a2])).transpose(0, 2, 1)
+    # participating truthfully beats acting on the prior alone; vecdot takes
+    # one BLAS dot per utility column, whose sums tests/test_lp_digests.py pins
+    truth = (mu_w[:, None] * util).reshape(m, nw * na)
+    outside = np.vecdot(mu_w, util.transpose(0, 2, 1))                # (m, na)
+    _add_interleaved(
+        lp, "entry",
+        (entries.repeat(len(a)), ">=", p[:, :, a].transpose(0, 2, 1).reshape(-1, nw),
+         ob.reshape(-1, nw), 0.0),
+        (entries.repeat(na), ">=", _join((m,), p.reshape(m, -1), t[:, None]).repeat(na, axis=0),
+         _join((m,), truth, -1.0).repeat(na, axis=0), outside.ravel()))
 
     # deviation epigraphs are shared across true budgets: the deviator's
-    # value against report j depends only on their type's utility row
-    z: dict[tuple[int, int], np.ndarray] = {}
-    for i, j in ic_pairs:
-        ti = menu[i][0]
-        if (ti, j) not in z:
-            zv = np.array([lp.add_variable(f"z[{ti},{j},{a}]", None, None)
-                           for a in range(na)])
-            z[ti, j] = zv
-            for a in range(na):
-                for a2 in range(na):
-                    lp.add_constraint(
-                        f"zdef[{ti},{j},{a},{a2}]",
-                        [(zv[a], 1.0)] + [(p[j, w, a], -mu_w[w] * util[w, ti, a2])
-                                          for w in range(nw)], ">=", 0.0)
-        truth_terms = [(p[i, w, a], mu_w[w] * util[w, ti, a])
-                       for w in range(nw) for a in range(na)]
-        lp.add_constraint(
-            f"ic[{i},{j}]",
-            truth_terms + [(t[i], -1.0)]
-            + [(z[ti, j][a], -1.0) for a in range(na)] + [(t[j], 1.0)]
-            + ic_relax.get((i, j), []),
-            ">=", 0.0)
+    # value against report j depends only on their type's utility row; each
+    # epigraph's rows come just before the first truthfulness row using it
+    i, j = np.array(ic_pairs, dtype=int).reshape(n_pairs, 2).T
+    keys = {}
+    key = np.array([keys.setdefault(k, len(keys)) for k in zip(types[i].tolist(), j.tolist())],
+                   dtype=int)
+    first = np.unique(key, return_index=True)[1]                        # each key's first pair
+    z = lp.add_block("z", (len(keys), na), None, None)
+    grid = (len(keys), na, na)                                          # (key, a, a2)
+    relax_cols, relax_coefs = ic_relax or (np.zeros((n_pairs, 0), int), np.zeros((n_pairs, 0)))
+    _add_interleaved(
+        lp, "pair",
+        (first.repeat(na * na), ">=",
+         _join(grid, z[:, :, None, None], p[j[first]].transpose(0, 2, 1)[:, :, None]
+               ).reshape(-1, 1 + nw),
+         _join(grid, 1.0, (-mu_w * instance.utility[:, types[i[first]], :].transpose(1, 2, 0)
+                           )[:, None]).reshape(-1, 1 + nw), 0.0),
+        (np.arange(n_pairs), ">=",
+         _join((n_pairs,), p.reshape(m, -1)[i], t[i][:, None], z[key], t[j][:, None], relax_cols),
+         _join((n_pairs,), truth[i], -1.0, -np.ones(na), 1.0, relax_coefs), 0.0))
     return p, t
 
 
@@ -258,13 +281,12 @@ def _solve_deposit_family(instance: Instance, menu, weights, ic_pairs, t_bounds,
     Returns (prices, kernel, utilities, revenue), Menu's field order.
     """
     mu_w = instance.omega_marginal()
-    nw, na = len(instance.omega), len(instance.actions)
+    nw = len(instance.omega)
     lp = LinearProgram(lp_name)
     p, t = _add_deposit_model(lp, instance, menu, weights, ic_pairs, t_bounds)
     sol = lp.solve()
     entry_util = instance.utility[:, [ti for ti, _ in menu], :].transpose(1, 0, 2)
-    kernel = _clean_kernel(sol.values[p.reshape(-1)].reshape(len(menu), nw, na),
-                           np.broadcast_to(mu_w, (len(menu), nw)), entry_util)
+    kernel = _clean_kernel(sol.values[p], np.broadcast_to(mu_w, (len(menu), nw)), entry_util)
     prices = sol.values[t].astype(float)
     utilities = np.array([
         float(np.einsum("w,wa,wa->", mu_w, kernel[i], entry_util[i])) - prices[i]
@@ -330,34 +352,33 @@ def _affordability_pattern(instance: Instance, menu, weights) -> list[int]:
     just below; each truthfulness row (i, j) is switched off by a big-M
     whenever the picked cutoff lies above b_i.
     """
-    levels = instance.budgets
-    M = instance.seller_budget
-    util = instance.utility
-    big = float(util.max() - util.min()) + max(levels) + M + 1.0
-    floors = [-M] + [lv + 1e-7 for lv in levels[:-1]]
+    levels = np.array(instance.budgets)
+    M, util = instance.seller_budget, instance.utility
+    big = float(util.max() - util.min()) + levels[-1] + M + 1.0
+    floors = np.append(-M, levels[:-1] + 1e-7)
+    m = len(menu)
+    b = np.array([bj for _, bj in menu])
+    own = levels <= b[:, None]                       # the levels item j may pick
 
     lp = LinearProgram("single-round-pattern")
-    y = [[lp.add_variable(f"y[{j},{k}]", 0.0, 1.0, integer=True)
-          for k, lv in enumerate(levels) if lv <= b]
-         for j, (_, b) in enumerate(menu)]
-    ic_pairs = [(i, j) for i in range(len(menu)) for j in range(len(menu)) if j != i]
-    ic_relax = {(i, j): [(y[j][k], big) for k in range(len(y[j])) if levels[k] > menu[i][1]]
-                for i, j in ic_pairs}
+    y = np.full(own.shape, -1)
+    y[own] = lp.add_block("y", int(own.sum()), 0.0, 1.0, integer=True)
+    ic_pairs = [(i, j) for i in range(m) for j in range(m) if j != i]
+    i, j = np.array(ic_pairs, dtype=int).reshape(-1, 2).T
+    relax = np.where(levels > b[i][:, None], y[j], -1)
     _, t = _add_deposit_model(lp, instance, menu, weights, ic_pairs,
-                              [(-M, b) for _, b in menu], ic_relax)
-    for j, yj in enumerate(y):
-        lp.add_constraint(f"pick[{j}]", [(h, 1.0) for h in yj], "==", 1.0)
-        lp.add_constraint(f"cap[{j}]", [(t[j], 1.0)]
-                          + [(h, -levels[k]) for k, h in enumerate(yj)], "<=", 0.0)
-        lp.add_constraint(f"floor[{j}]", [(t[j], 1.0)]
-                          + [(h, -floors[k]) for k, h in enumerate(yj)], ">=", 0.0)
-    try:
-        sol = lp.solve()
-    except SolverFailure as exc:
-        if exc.status != INFEASIBLE:
-            raise
-        raise PreconditionError("no affordability pattern is feasible") from exc
-    return [int(np.argmax(sol.values[yj])) for yj in y]
+                              [(-M, bj) for bj in b], (relax, np.full(relax.shape, big)))
+    lp.add_rows("pick", y, 1.0, "==", 1.0)
+    price = _join((m,), t[:, None], y)
+    _add_interleaved(lp, "price",
+                     (np.arange(m), "<=", price, _join((m,), 1.0, -levels), 0.0),
+                     (np.arange(m), ">=", price, _join((m,), 1.0, -floors), 0.0))
+    sol = lp.solve()
+    # the cheapest level that affords each price; a price that sits on a
+    # level within the integrality tolerance belongs to that level, whatever
+    # y says
+    below = ~affordable(sol.values[t][:, None], levels)
+    return np.minimum(below.sum(axis=1), own.sum(axis=1) - 1).tolist()
 
 
 def solve_single_round(instance: Instance) -> Menu:
@@ -377,14 +398,14 @@ def solve_single_round(instance: Instance) -> Menu:
     view = prior_view(instance)
     menu, weights = _deposit_menu(view)
     levels = instance.budgets
-    cutoffs = _affordability_pattern(instance, menu, weights)
-    # the pattern program's own price boxes: a price sits more than 1e-9
-    # above every budget level the pattern leaves unable to afford it
-    t_bounds = [(levels[k - 1] + 1e-7 if k else -instance.seller_budget, levels[k])
-                for k in cutoffs]
-    ic_pairs = [(i, j) for i, (_, b) in enumerate(menu) for j in range(len(menu))
-                if j != i and levels[cutoffs[j]] <= b]
     try:
+        cutoffs = _affordability_pattern(instance, menu, weights)
+        # the pattern program's own price boxes: a price sits more than 1e-9
+        # above every budget level the pattern leaves unable to afford it
+        t_bounds = [(levels[k - 1] + 1e-7 if k else -instance.seller_budget, levels[k])
+                    for k in cutoffs]
+        ic_pairs = [(i, j) for i, (_, b) in enumerate(menu) for j in range(len(menu))
+                    if j != i and levels[cutoffs[j]] <= b]
         return Menu("single-round", _menu_labels(view), *_solve_deposit_family(
             instance, menu, weights, ic_pairs, t_bounds, "single-round"))
     except SolverFailure as exc:
@@ -409,86 +430,58 @@ def build_prob_return_lp(utility: np.ndarray, menu_types: list[tuple[int, float]
     eps:        slack applied to the truthfulness / participation /
                 recommendation-following rows (0 = exact program).
 
-    Returns (lp, p_pay, p_refund) with variable-handle arrays shaped
-    (len(menu), n_omega, n_actions). Shared by the exact solver and the
-    empirical-belief solver, which differ only in the belief data and eps.
+    Returns (lp, p) with p the kernel's column ids, shaped
+    (len(menu), n_omega, n_actions, 2): block 0 keeps the deposit, block 1
+    refunds it plus M. Shared by the exact solver and the empirical-belief
+    solver, which differ only in the belief data and eps.
     """
     m = len(menu_types)
     nw, na = utility.shape[0], utility.shape[2]
     M = seller_budget
+    b = np.array([bi for _, bi in menu_types], dtype=float)
+    util = utility[:, [ti for ti, _ in menu_types], :].transpose(1, 0, 2)   # (m, nw, na)
     lp = LinearProgram("prob-return")
 
-    p_pay = np.empty((m, nw, na), dtype=int)
-    p_ref = np.empty((m, nw, na), dtype=int)
-    for i in range(m):
-        for w in range(nw):
-            for a in range(na):
-                p_pay[i, w, a] = lp.add_variable(f"pp[{i},{w},{a}]", 0.0, 1.0)
-                p_ref[i, w, a] = lp.add_variable(f"pr[{i},{w},{a}]", 0.0, 1.0)
-
+    # p[..., 0] keeps the deposit ("+"), p[..., 1] returns it plus M ("-")
+    p = lp.add_block("p", (m, nw, na, 2), 0.0, 1.0)
     # menu pairs (truth i, report j) with the report's deposit affordable
-    report_pairs = [(i, j) for i in range(m) for j in range(m)
-                    if menu_types[j][1] <= menu_types[i][1] + 1e-12]
-    U = {pair: lp.add_variable(f"U[{pair[0]},{pair[1]}]", None, None)
-         for pair in report_pairs}
+    pi, pj = np.nonzero(b[None, :] <= b[:, None] + 1e-12)
+    U = np.full((m, m), -1)
+    U[pi, pj] = lp.add_block("U", len(pi), None, None)
+    z = lp.add_block("z", (len(pi), 2, na), None, None)
 
-    obj = []
-    for i, (ti, b) in enumerate(menu_types):
-        for w in range(nw):
-            for a in range(na):
-                obj.append((p_pay[i, w, a], joint[i, w] * b))
-                obj.append((p_ref[i, w, a], -joint[i, w] * M))
-    lp.set_objective(obj)
+    lp.set_objective(p, np.stack([joint * b[:, None], -joint * M], axis=-1)[:, :, None])
+    lp.add_rows("rowsum", p.reshape(m, nw, 2 * na), 1.0, "==", 1.0)
 
-    for i, (ti, b) in enumerate(menu_types):
-        for w in range(nw):
-            lp.add_constraint(
-                f"rowsum[{i},{w}]",
-                [(p_pay[i, w, a], 1.0) for a in range(na)]
-                + [(p_ref[i, w, a], 1.0) for a in range(na)], "==", 1.0)
-
+    entries, off = np.arange(m), pi != pj
+    diag = U[entries, entries]
+    ob = -cond[:, :, None, None] * np.stack([util - b[:, None, None], util + M], axis=-1)
+    outside = np.vecdot(cond[:, None, :], util.transpose(0, 2, 1))   # see _add_deposit_model
+    _add_interleaved(
+        lp, "entry",
         # truth beats any affordable misreport
-        for j in range(m):
-            if j != i and (i, j) in U:
-                lp.add_constraint(f"ic[{i},{j}]",
-                                  [(U[i, i], 1.0), (U[i, j], -1.0)], ">=", -eps)
+        (pi[off], ">=", np.stack([diag[pi[off]], U[pi[off], pj[off]]], axis=1),
+         [1.0, -1.0], -eps),
         # truth beats acting on the belief alone
-        for a2 in range(na):
-            outside = float(cond[i] @ utility[:, ti, a2])
-            lp.add_constraint(f"ir[{i},{a2}]", [(U[i, i], 1.0)], ">=", outside - eps)
+        (entries.repeat(na), ">=", diag.repeat(na)[:, None], 1.0, outside.ravel() - eps),
         # the diagonal U is capped by the obedient utility: with the epigraph
         # lower bounds below, this is what forces recommendations to be
         # worth following
-        ob_terms = [(U[i, i], 1.0)]
-        for w in range(nw):
-            for a in range(na):
-                ob_terms.append((p_pay[i, w, a], -cond[i, w] * (utility[w, ti, a] - b)))
-                ob_terms.append((p_ref[i, w, a], -cond[i, w] * (utility[w, ti, a] + M)))
-        lp.add_constraint(f"ob[{i}]", ob_terms, "<=", eps)
+        (entries, "<=", _join((m,), diag[:, None], p.reshape(m, -1)),
+         _join((m,), 1.0, ob.reshape(m, -1)), eps))
 
     # U[i,j] equals the report's value under the best per-recommendation
-    # remap; the deposit forfeited on "+" is the *reported* budget
-    for (i, j), u_var in U.items():
-        ti = menu_types[i][0]
-        b_dep = menu_types[j][1]
-        zp = [lp.add_variable(f"zp[{i},{j},{a}]", None, None) for a in range(na)]
-        zr = [lp.add_variable(f"zr[{i},{j},{a}]", None, None) for a in range(na)]
-        lp.add_constraint(f"udef[{i},{j}]",
-                          [(u_var, 1.0)] + [(zp[a], -1.0) for a in range(na)]
-                          + [(zr[a], -1.0) for a in range(na)], "==", 0.0)
-        for a in range(na):
-            for a2 in range(na):
-                lp.add_constraint(
-                    f"zp[{i},{j},{a},{a2}]",
-                    [(zp[a], 1.0)] + [(p_pay[j, w, a],
-                                       -cond[i, w] * (utility[w, ti, a2] - b_dep))
-                                      for w in range(nw)], ">=", 0.0)
-                lp.add_constraint(
-                    f"zr[{i},{j},{a},{a2}]",
-                    [(zr[a], 1.0)] + [(p_ref[j, w, a],
-                                       -cond[i, w] * (utility[w, ti, a2] + M))
-                                      for w in range(nw)], ">=", 0.0)
-    return lp, p_pay, p_ref
+    # remap a -> a2, one epigraph column z per (pair, block, a); the deposit
+    # forfeited on "+" is the *reported* budget
+    lp.add_rows("udef", _join((len(pi),), U[pi, pj][:, None], z.reshape(len(pi), 2 * na)),
+                _join((len(pi),), 1.0, -np.ones(2 * na)), "==", 0.0)
+    dev = -cond[pi][:, :, None, None] * np.stack(
+        [util[pi] - b[pj][:, None, None], util[pi] + M], axis=-1)      # (pair, w, a2, block)
+    grid = (len(pi), na, na, 2)                                         # (pair, a, a2, block)
+    lp.add_rows("zdef", _join(grid, z.transpose(0, 2, 1)[:, :, None, :, None],
+                              p[pj].transpose(0, 2, 3, 1)[:, :, None]),
+                _join(grid, 1.0, dev.transpose(0, 2, 3, 1)[:, None]), ">=", 0.0)
+    return lp, p
 
 
 def solve_prob_return(view: PriorView, M: float, eps: float = 0.0) -> Menu:
@@ -499,11 +492,8 @@ def solve_prob_return(view: PriorView, M: float, eps: float = 0.0) -> Menu:
     """
     shape, cond, joint = view.instance, view.beliefs, view.joint
     menu = [(ti, float(shape.budgets[bi])) for ti, bi in view.index]
-    lp, p_pay, p_ref = build_prob_return_lp(shape.utility, menu, cond, joint, M, eps=eps)
-    sol = lp.solve()
-    m, nw, na = len(menu), len(shape.omega), len(shape.actions)
-    rows = np.concatenate([sol.values[p_pay.reshape(-1)].reshape(m, nw, na),
-                           sol.values[p_ref.reshape(-1)].reshape(m, nw, na)], axis=-1)
+    lp, p = build_prob_return_lp(shape.utility, menu, cond, joint, M, eps=eps)
+    rows = lp.solve().values[p].transpose(0, 1, 3, 2).reshape(*p.shape[:2], 2 * p.shape[2])
     util = shape.utility[:, [ti for ti, _ in menu], :].transpose(1, 0, 2)
     kernel = _clean_kernel(rows, cond, util)
     pay, refund = np.split(kernel, 2, axis=-1)
@@ -562,7 +552,7 @@ def buyer_utility(mech: Menu, instance: Instance,
     util = instance.utility[:, ti, :]
     dev = deviation or {}
     j = mech.menu_index(*report)
-    if mech.cost(j) > b + 1e-9:
+    if not affordable(mech.cost(j), b):
         raise PreconditionError(
             f"report {report!r} needs {mech.cost(j):g} up front, beyond budget {b:g}")
     value = 0.0

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mechanisms import Menu, revenue_cap
+from .mechanisms import Menu, affordable, revenue_cap
 from .model import Instance, PriorView, prior_view
 
 DEFAULT_TOL = 1e-6
@@ -125,7 +125,7 @@ def _walk(name: str, mechanism: Menu, view: PriorView, eps: float, tol: float | 
         b = float(inst.budgets[bi])
         pair = f"({inst.theta[ti]},{b:g})"
         truth = mechanism.find(inst.theta[ti], b)
-        if truth is None or mechanism.cost(truth) > b + 1e-9:
+        if truth is None or not affordable(mechanism.cost(truth), b):
             worst = -np.inf
             worst_case = (f"{pair} missing from menu" if truth is None else
                           f"{pair} cannot afford its own menu entry {truth}")
@@ -146,7 +146,7 @@ def check_ic(mechanism: Menu, prior: Instance | PriorView, eps: float = 0.0,
     def slacks(ti, b, belief, truth):
         truthful, _, _ = _entry_values(mechanism, inst, belief, ti, truth)
         for entry in range(len(mechanism.menu)):
-            if entry != truth and mechanism.cost(entry) <= b + 1e-9:
+            if entry != truth and affordable(mechanism.cost(entry), b):
                 _, deviation, _ = _entry_values(mechanism, inst, belief, ti, entry)
                 yield truthful - deviation, f" reporting menu entry {entry}"
     return _walk("ic", mechanism, view, eps, tol, "no deviation available", slacks)

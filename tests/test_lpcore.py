@@ -9,68 +9,66 @@ from infosale.lpcore import LinearProgram
 def test_small_lp_exact():
     # max x + 2y  s.t. x + y <= 4, y <= 3, x, y >= 0  ->  (1, 3), value 7
     lp = LinearProgram("toy")
-    x = lp.add_variable("x", 0.0)
-    y = lp.add_variable("y", 0.0)
-    lp.add_constraint("cap", [(x, 1.0), (y, 1.0)], "<=", 4.0)
-    lp.add_constraint("ylim", [(y, 1.0)], "<=", 3.0)
-    lp.set_objective([(x, 1.0), (y, 2.0)])
+    x, y = lp.add_block("v", 2, 0.0)
+    lp.add_rows("cap", [x, y], [1.0, 1.0], "<=", 4.0)
+    lp.add_rows("ylim", [y], [1.0], "<=", 3.0)
+    lp.set_objective([x, y], [1.0, 2.0])
     sol = lp.solve()
     assert sol.objective == pytest.approx(7.0, abs=1e-9)
-    assert sol[x] == pytest.approx(1.0, abs=1e-9)
-    assert sol[y] == pytest.approx(3.0, abs=1e-9)
+    assert sol.values[x] == pytest.approx(1.0, abs=1e-9)
+    assert sol.values[y] == pytest.approx(3.0, abs=1e-9)
     assert lp.max_violation(sol.values)[0] <= 1e-9
 
 
 def test_equality_and_bounds():
     lp = LinearProgram("eq")
-    x = lp.add_variable("x", 0.0, 1.0)
-    y = lp.add_variable("y", 0.0, 1.0)
-    lp.add_constraint("split", [(x, 1.0), (y, 1.0)], "==", 1.0)
-    lp.set_objective([(x, 3.0), (y, 1.0)])
+    x, y = lp.add_block("v", 2, 0.0, 1.0)
+    lp.add_rows("split", [x, y], [1.0, 1.0], "==", 1.0)
+    lp.set_objective([x, y], [3.0, 1.0])
     sol = lp.solve()
     assert sol.objective == pytest.approx(3.0, abs=1e-9)
-    assert sol[x] == pytest.approx(1.0, abs=1e-9)
+    assert sol.values[x] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_minimization():
     lp = LinearProgram("mini")
-    x = lp.add_variable("x", 0.0, 10.0)
-    lp.add_constraint("floor", [(x, 1.0)], ">=", 2.5)
-    lp.set_objective([(x, 1.0)], maximize=False)
+    x = lp.add_block("x", (), 0.0, 10.0)
+    lp.add_rows("floor", [x], [1.0], ">=", 2.5)
+    lp.set_objective(x, 1.0, maximize=False)
     sol = lp.solve()
     assert sol.objective == pytest.approx(2.5, abs=1e-9)
 
 
 def test_infeasible_raises():
     lp = LinearProgram("bad")
-    x = lp.add_variable("x", 0.0, 1.0)
-    lp.add_constraint("impossible", [(x, 1.0)], ">=", 2.0)
-    lp.set_objective([(x, 1.0)])
+    x = lp.add_block("x", (), 0.0, 1.0)
+    lp.add_rows("impossible", [x], [1.0], ">=", 2.0)
+    lp.set_objective(x, 1.0)
     with pytest.raises(SolverFailure):
         lp.solve()
 
 
 def test_unbounded_raises():
     lp = LinearProgram("unbounded")
-    x = lp.add_variable("x", 0.0)
-    lp.set_objective([(x, 1.0)])
+    x = lp.add_block("x", (), 0.0)
+    lp.set_objective(x, 1.0)
     with pytest.raises(SolverFailure):
         lp.solve()
 
 
 def test_free_variable():
     lp = LinearProgram("free")
-    z = lp.add_variable("z", None)  # unbounded below
-    lp.add_constraint("floor", [(z, 1.0)], ">=", -5.0)
-    lp.set_objective([(z, 1.0)], maximize=False)
+    z = lp.add_block("z", (), None)  # unbounded below
+    lp.add_rows("floor", [z], [1.0], ">=", -5.0)
+    lp.set_objective(z, 1.0, maximize=False)
     sol = lp.solve()
-    assert sol[z] == pytest.approx(-5.0, abs=1e-9)
+    assert sol.values[z] == pytest.approx(-5.0, abs=1e-9)
 
 
 def test_repeated_objective_terms_accumulate():
     lp = LinearProgram("dup")
-    x = lp.add_variable("x", 0.0, 1.0)
-    lp.set_objective([(x, 1.0), (x, 2.0)])  # means 3x
+    x = lp.add_block("x", (), 0.0, 1.0)
+    lp.set_objective([x, x], [1.0, 2.0])  # means 3x
     sol = lp.solve()
     assert sol.objective == pytest.approx(3.0, abs=1e-9)
 
@@ -80,12 +78,10 @@ def test_random_lps_respect_constraints(rng):
         n = int(rng.integers(2, 6))
         m = int(rng.integers(1, 5))
         lp = LinearProgram("rand")
-        xs = [lp.add_variable(f"x{i}", 0.0, 1.0) for i in range(n)]
+        xs = lp.add_block("x", n, 0.0, 1.0)
         a = rng.normal(size=(m, n))
-        for r in range(m):
-            lp.add_constraint(f"row{r}", [(xs[i], a[r, i]) for i in range(n)],
-                              "<=", float(abs(a[r]).sum()))
-        lp.set_objective([(xs[i], float(rng.normal())) for i in range(n)])
+        lp.add_rows("row", xs, a, "<=", abs(a).sum(axis=1))
+        lp.set_objective(xs, rng.normal(size=n))
         sol = lp.solve()
         assert lp.max_violation(sol.values)[0] <= 1e-8
 
@@ -94,9 +90,9 @@ def _knapsack(integer):
     # max 8a + 11b + 6c + 4d  s.t. 5a + 7b + 4c + 3d <= 14, each in [0, 1]:
     # the relaxation takes half of c for 22, the 0/1 optimum is b + c + d = 21
     lp = LinearProgram("knapsack")
-    xs = [lp.add_variable(f"x{i}", 0.0, 1.0, integer=integer) for i in range(4)]
-    lp.add_constraint("weight", list(zip(xs, [5.0, 7.0, 4.0, 3.0])), "<=", 14.0)
-    lp.set_objective(list(zip(xs, [8.0, 11.0, 6.0, 4.0])))
+    xs = lp.add_block("x", 4, 0.0, 1.0, integer=integer)
+    lp.add_rows("weight", xs, [5.0, 7.0, 4.0, 3.0], "<=", 14.0)
+    lp.set_objective(xs, [8.0, 11.0, 6.0, 4.0])
     return lp
 
 
@@ -110,9 +106,9 @@ def test_integer_columns_give_integer_optimum():
 def test_infeasible_integer_program_raises():
     # 2x == 1 has the fractional solution 1/2 but no integer one
     lp = LinearProgram("odd")
-    x = lp.add_variable("x", 0.0, 1.0, integer=True)
-    lp.add_constraint("half", [(x, 2.0)], "==", 1.0)
-    lp.set_objective([(x, 1.0)])
+    x = lp.add_block("x", (), 0.0, 1.0, integer=True)
+    lp.add_rows("half", [x], [2.0], "==", 1.0)
+    lp.set_objective(x, 1.0)
     with pytest.raises(SolverFailure, match="infeasible"):
         lp.solve()
 
@@ -121,20 +117,20 @@ def test_recheck_reports_integrality_violation():
     lp = _knapsack(True)
     worst, name = lp.max_violation(np.array([0.0, 1.0, 0.5, 0.0]))
     assert worst == pytest.approx(0.5)
-    assert name == "integrality:x2"
+    assert name == "integrality:x[2]"
 
 
 def test_failure_status_names_the_cause(monkeypatch):
     # an infeasible and an unbounded program say so; a point that fails the
     # independent re-check is a solver breakdown, not a bad input
     lp = LinearProgram("bad")
-    x = lp.add_variable("x", 0.0, 1.0)
-    lp.add_constraint("impossible", [(x, 1.0)], ">=", 2.0)
+    x = lp.add_block("x", (), 0.0, 1.0)
+    lp.add_rows("impossible", [x], [1.0], ">=", 2.0)
     with pytest.raises(SolverFailure) as failure:
         lp.solve()
     assert failure.value.status == "infeasible"
     lp = LinearProgram("unbounded")
-    lp.set_objective([(lp.add_variable("x", 0.0), 1.0)])
+    lp.set_objective(lp.add_block("x", (), 0.0), 1.0)
     with pytest.raises(SolverFailure) as failure:
         lp.solve()
     assert failure.value.status == "unbounded"
@@ -143,3 +139,34 @@ def test_failure_status_names_the_cause(monkeypatch):
         _knapsack(False).solve()
     assert failure.value.status == "recheck"
     assert SolverFailure("plain").status == "error"
+
+
+def test_recheck_names_the_worst_row_and_bound_by_index():
+    # rows x[i] + x[j] <= 1 over a (2, 3) grid of pairs of a (2, 2) block
+    lp = LinearProgram("grid")
+    x = lp.add_block("x", (2, 2), 0.0, 1.0)
+    pairs = np.array([[[0, 1], [0, 2], [0, 3]], [[1, 2], [1, 3], [2, 3]]])
+    lp.add_rows("pair", x.ravel()[pairs], 1.0, "<=", 1.0)
+    point = np.array([0.5, 0.5, 1.75, 1.75])
+    assert lp.max_violation(point) == (2.5, "pair[1,2]")
+    lp.add_rows("loose", x.ravel()[pairs], 1.0, "<=", 10.0)
+    point[3] = 0.0
+    worst, name = lp.max_violation(point)
+    assert (worst, name) == (pytest.approx(1.25), "pair[0,1]")
+    point[:] = [0.0, 0.0, 1.75, -1.5]
+    assert lp.max_violation(point) == (pytest.approx(1.5), "bound:x[1,1]")
+
+
+def test_rhs_broadcasts_and_repeated_objective_columns_add_up():
+    # three rows x_k <= k + 1 share one coefficient; the objective names
+    # x_0 twice (1 + 1) and x_2 once, so the optimum is 2 * 1 + 3 = 5
+    lp = LinearProgram("broadcast")
+    x = lp.add_block("x", 3, 0.0)
+    lp.add_rows("cap", x[:, None], 1.0, "<=", [1.0, 2.0, 3.0])
+    lp.add_rows("all", x, 1.0, ">=", 0.0)
+    lp.set_objective([x[0], x[0], x[2]], 1.0)
+    sol = lp.solve()
+    assert sol.objective == pytest.approx(5.0, abs=1e-9)
+    assert sol.values[x[0]] == pytest.approx(1.0, abs=1e-9)
+    assert sol.values[x[2]] == pytest.approx(3.0, abs=1e-9)
+    assert lp.max_violation(np.array([1.0, 2.5, 3.0])) == (pytest.approx(0.5), "cap[1]")

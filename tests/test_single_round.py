@@ -6,7 +6,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis.strategies import integers
 
 from infosale import (PreconditionError, lpcore, SolverFailure, revenue_cap,
@@ -75,6 +75,8 @@ def n_patterns(instance):
 
 
 @given(integers(min_value=0, max_value=10 ** 6))
+@example(193)
+@example(3838)
 @settings(max_examples=12, deadline=None)
 def test_single_round_matches_pattern_enumeration(seed):
     # two types and at most three budget levels: at most 1*2*3 patterns per
