@@ -293,6 +293,11 @@ def _main(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return next((EXIT_CODES[c] for c in type(exc).__mro__ if c in EXIT_CODES),
                     EXIT_SOLVER)
+    except Exception as exc:
+        # a fault of the program, not of the input: still one line, no traceback
+        message = " ".join(str(exc).split())
+        print(f"error: internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

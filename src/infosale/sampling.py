@@ -14,6 +14,13 @@ The conditional estimate for pair (theta, b) is built from the matching
 buyer's report — so the live buyer cannot poison their own menu entry; the
 live state is folded into every pair's conditional, which keeps all
 conditionals well defined.
+
+Oracles hand out samples as index arrays (w, t, b) against an instance;
+labels exist only at the file boundary: the JSON lines a ReplayOracle reads,
+an oracle's `draw`, and the live buyer's triple. A ReplayOracle parses each
+distinct line once, and any oracle over other labels than the instance's
+looks up each distinct triple once, in stream order, so the first bad sample
+raises.
 """
 
 from __future__ import annotations
@@ -46,32 +53,51 @@ class InstanceOracle:
         self._cum = np.cumsum(flat)
         self._shape = instance.prior.shape
 
+    def indices(self, k: int, instance: Instance) -> tuple[np.ndarray, ...]:
+        """k draws as index arrays (w, t, b) against instance."""
+        cells = self._sample(k)
+        if instance is self.instance:
+            return np.unravel_index(cells, self._shape)
+        return _lookup(cells, self._labels, instance)
+
     def draw(self, k: int) -> list[Triple]:
+        return self._labels(self._sample(k))
+
+    def _sample(self, k: int) -> np.ndarray:
+        """k draws as flat indices into the prior."""
         u = self.rng.random(k) * self._cum[-1]
-        idx = np.searchsorted(self._cum, u, side="right")
-        w, t, b = np.unravel_index(idx, self._shape)
+        return np.searchsorted(self._cum, u, side="right")
+
+    def _labels(self, cells: np.ndarray) -> list[Triple]:
         inst = self.instance
-        return [(inst.theta[t[i]], inst.omega[w[i]], float(inst.budgets[b[i]]))
-                for i in range(k)]
+        w, t, b = np.unravel_index(cells, self._shape)
+        return [(inst.theta[ti], inst.omega[wi], float(inst.budgets[bi]))
+                for wi, ti, bi in zip(w.tolist(), t.tolist(), b.tolist())]
 
 
 class ReplayOracle:
-    """Replays a recorded stream of JSON lines {"theta":…, "omega":…, "b":…}."""
+    """Replays a recorded stream of JSON lines {"theta":…, "omega":…, "b":…}.
+
+    Each distinct line is parsed once; the stream is kept as one code per
+    line into the distinct lines' triples.
+    """
 
     def __init__(self, lines):
         if isinstance(lines, str):
             lines = lines.splitlines()
+        seen: dict[str, int] = {}
         self._triples: list[Triple] = []
-        for line in lines:
+        codes = []
+        for number, line in enumerate(lines, 1):
             line = line.strip()
             if not line:
                 continue
-            try:
-                row = json.loads(line)
-                self._triples.append((str(row["theta"]), str(row["omega"]),
-                                      float(row["b"])))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise InputError(f"bad sample line {line!r}: {exc}") from None
+            code = seen.get(line)
+            if code is None:
+                code = seen[line] = len(self._triples)
+                self._triples.append(_parse_line(number, line))
+            codes.append(code)
+        self._codes = np.array(codes, dtype=np.intp)
         self._pos = 0
 
     @classmethod
@@ -79,14 +105,66 @@ class ReplayOracle:
         with open(path, "r", encoding="utf-8") as fh:
             return cls(fh.readlines())
 
+    def indices(self, k: int, instance: Instance) -> tuple[np.ndarray, ...]:
+        """The next k lines as index arrays (w, t, b) against instance."""
+        return _lookup(self._take(k), self._labels, instance)
+
     def draw(self, k: int) -> list[Triple]:
-        if self._pos + k > len(self._triples):
+        return self._labels(self._take(k))
+
+    def _labels(self, codes: np.ndarray) -> list[Triple]:
+        return [self._triples[c] for c in codes.tolist()]
+
+    def _take(self, k: int) -> np.ndarray:
+        if self._pos + k > len(self._codes):
             raise InputError(
                 f"sample stream exhausted: need {k} more, have "
-                f"{len(self._triples) - self._pos}")
-        out = self._triples[self._pos:self._pos + k]
+                f"{len(self._codes) - self._pos}")
         self._pos += k
-        return out
+        return self._codes[self._pos - k:self._pos]
+
+
+def _parse_line(number: int, line: str) -> Triple:
+    """One stream line as a triple: labels must be strings, b a finite number."""
+    def bad(problem) -> InputError:
+        shown = line if len(line) <= 80 else line[:77] + "..."
+        return InputError(f"bad sample line {number} {shown!r}: {problem}")
+    try:
+        row = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise bad(exc) from None
+    except RecursionError:
+        raise bad("nests too deeply to read") from None
+    if not isinstance(row, dict):
+        raise bad("not a JSON object")
+    for key in ("theta", "omega", "b"):
+        if key not in row:
+            raise bad(f"no field {key!r}")
+        if key != "b" and not isinstance(row[key], str):
+            raise bad(f"field {key!r} is not a string")
+    b = row["b"]
+    try:
+        b = float(b) if isinstance(b, (int, float)) and not isinstance(b, bool) else math.nan
+    except OverflowError:
+        b = math.inf
+    if not math.isfinite(b):
+        raise bad("field 'b' is not a finite number")
+    return row["theta"], row["omega"], b
+
+
+def _lookup(codes: np.ndarray, labels, instance: Instance) -> tuple[np.ndarray, ...]:
+    """Index arrays (w, t, b) against instance of a stream of codes, where
+    labels(distinct codes) gives their triples. Each distinct code is looked
+    up once, in order of first appearance and type, state, budget within a
+    triple, so the first bad label in stream order raises."""
+    distinct, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    table = np.empty((3, len(distinct)), dtype=np.intp)
+    for j, (theta, omega, b) in zip(order.tolist(), labels(distinct[order])):
+        table[1, j] = instance.theta_id(theta)
+        table[0, j] = instance.omega_id(omega)
+        table[2, j] = instance.budget_id(b)
+    return tuple(table[:, inverse])
 
 
 # ---------------------------------------------------------------------------
@@ -109,32 +187,36 @@ class EmpiricalPrior(PriorView):
 
 
 def draw_samples(oracle, n: int, live: Triple, instance: Instance) -> EmpiricalPrior:
-    """Live triple first, then n−1 oracle draws, indexed against instance."""
+    """Live triple first, then n−1 oracle draws, indexed against instance.
+
+    A rejected live triple still costs the oracle its n−1 draws, and an
+    exhausted oracle is reported before it.
+    """
     if n < 1:
         raise PreconditionError("sample size n must be at least 1")
-    triples = [live] + (oracle.draw(n - 1) if n > 1 else [])
-    t_idx = np.empty(n, dtype=int)
-    w_idx = np.empty(n, dtype=int)
-    b_idx = np.empty(n, dtype=int)
-    for i, (th, w, b) in enumerate(triples):
-        t_idx[i] = instance.theta_id(th)
-        w_idx[i] = instance.omega_id(w)
-        b_idx[i] = instance.budget_id(b)
+    theta1, omega1, b1 = live
+    try:
+        t1 = instance.theta_id(theta1)
+        w1 = instance.omega_id(omega1)
+        first = (w1, t1, instance.budget_id(b1))
+    except InputError:
+        oracle.draw(n - 1)
+        raise
+    drawn = oracle.indices(n - 1, instance)
+    w, t, b = (np.concatenate(([i], rest)) for i, rest in zip(first, drawn))
     nw, nt, nb = len(instance.omega), len(instance.theta), len(instance.budgets)
-    counts = np.zeros((nw, nt, nb))
-    np.add.at(counts, (w_idx, t_idx, b_idx), 1.0)
-    joint_full = counts / n
-    pair_mass = joint_full.sum(axis=0)
-    index = tuple((ti, bi) for ti in range(nt) for bi in range(nb)
-                  if pair_mass[ti, bi] > 0.0)
-    joint = np.stack([joint_full[:, ti, bi] for ti, bi in index])
-    beliefs = []
-    for ti, bi in index:
-        later = (t_idx[1:] == ti) & (b_idx[1:] == bi)
-        tally = np.bincount(w_idx[1:][later], minlength=nw).astype(float)
-        tally[w_idx[0]] += 1.0
-        beliefs.append(tally / tally.sum())
-    return EmpiricalPrior(instance, index, joint.sum(axis=1), joint, np.stack(beliefs), n)
+    counts = np.bincount(np.ravel_multi_index((w, t, b), (nw, nt, nb)),
+                         minlength=nw * nt * nb)
+    joint_full = counts.reshape(nw, nt, nb) / n
+    ti, bi = np.nonzero(joint_full.sum(axis=0) > 0.0)
+    joint = np.moveaxis(joint_full, 0, -1)[ti, bi]
+    later = np.bincount(np.ravel_multi_index((t[1:], b[1:], w[1:]), (nt, nb, nw)),
+                        minlength=nt * nb * nw).reshape(nt, nb, nw)
+    tally = later[ti, bi].astype(float)
+    tally[:, w1] += 1.0
+    beliefs = tally / tally.sum(axis=1, keepdims=True)
+    index = tuple(zip(ti.tolist(), bi.tolist()))
+    return EmpiricalPrior(instance, index, joint.sum(axis=1), joint, beliefs, n)
 
 
 # ---------------------------------------------------------------------------

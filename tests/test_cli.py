@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import infosale.cli as cli
 import infosale.verify as verify_mod
 from infosale import (lpcore, load_instance, mechanism_from_json_dict,
                       protocol_to_json_dict, two_option_tree)
@@ -163,6 +164,17 @@ def test_cli_byte_determinism(box_file):
     a = subprocess.run(cmd, capture_output=True, check=True)
     b = subprocess.run(cmd, capture_output=True, check=True)
     assert a.stdout == b.stdout
+
+
+@pytest.mark.parametrize("name", ["instance", "stream"])
+def test_sample_prints_pinned_bytes(name, box_file, capsys):
+    # criterion 11's command and a replay of the committed box stream print
+    # the bytes pinned from an earlier version
+    pinned = json.loads((FIXTURES / "box_sample_stdout.json").read_text())[name]
+    paths = {"box": str(box_file), "stream": str(FIXTURES / "box_stream.jsonl")}
+    code, out = run_cli([arg.format(**paths) for arg in pinned["argv"]], capsys)
+    assert code == 0
+    assert out == pinned["stdout"]
 
 
 def test_tolerance_env_override(box_file, tmp_path, capsys, monkeypatch):
@@ -353,3 +365,32 @@ def test_nan_prior_entry_is_an_input_error(box_file, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err == "error: prior entries must be finite and nonnegative\n"
+
+
+def test_unexpected_exception_is_one_internal_error_line(box_file, capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("something broke\nacross lines")
+    monkeypatch.setattr(cli, "cmd_solve", broken)
+    code = main(["solve", "--instance", str(box_file), "--mechanism", "depr"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err == "error: internal error: RuntimeError: something broke across lines\n"
+
+
+@pytest.mark.parametrize("row, field", [
+    ({"theta": 0, "omega": "1", "b": 50}, "'theta'"),
+    ({"theta": "0", "omega": ["1"], "b": 50}, "'omega'"),
+    ({"theta": "0", "omega": "1", "b": True}, "'b'"),
+    ({"theta": "0", "omega": "1", "b": "50"}, "'b'"),
+    ({"theta": "0", "omega": "1", "b": float("nan")}, "'b'"),
+], ids=["int theta", "list omega", "bool b", "string b", "NaN b"])
+def test_sample_rejects_mistyped_stream_lines(row, field, box_file, tmp_path, capsys):
+    good = {"theta": "0", "omega": "1", "b": 50.0}
+    stream = tmp_path / "s.jsonl"
+    stream.write_text("\n".join(json.dumps(r) for r in [good, good, row] + [good] * 20))
+    code = main(["sample", "--oracle", str(stream), "--instance", str(box_file),
+                 "--n", "10", "--eps", "0.1", "--replications", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: bad sample line 3 ") and err.count("\n") == 1
+    assert field in err

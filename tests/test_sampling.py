@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from infosale import (InputError, InstanceOracle, Menu, PreconditionError,
+from infosale import (EmpiricalPrior, InputError, InstanceOracle, Menu, PreconditionError,
                       PriorView, ReplayOracle, certified_slack, check_ic,
                       check_ir, check_obedience, draw_samples, prior_view,
                       run_mechanism1, sample_complexity_bound, solve_cm_probr,
@@ -159,3 +159,201 @@ def test_empirical_prior_is_a_prior_view(box):
     assert np.array_equal(emp.weights, emp.joint.sum(axis=1))
     with pytest.raises(PreconditionError):
         solve_epsilon_lp(emp, treasure_box(), box.seller_budget, 0.0)  # another instance
+
+
+# ---------------------------------------------------------------------------
+# the index path against the label loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_instance_draw(instance, rng, k):
+    """The label loop InstanceOracle.draw ran before oracles gave indices."""
+    flat = instance.prior.reshape(-1).astype(float)
+    cum = np.cumsum(flat)
+    idx = np.searchsorted(cum, rng.random(k) * cum[-1], side="right")
+    w, t, b = np.unravel_index(idx, instance.prior.shape)
+    return [(instance.theta[t[i]], instance.omega[w[i]], float(instance.budgets[b[i]]))
+            for i in range(k)]
+
+
+def reference_draw_samples(oracle, n, live, instance):
+    """draw_samples as a loop over label triples, one lookup per sample."""
+    if n < 1:
+        raise PreconditionError("sample size n must be at least 1")
+    triples = [live] + (oracle.draw(n - 1) if n > 1 else [])
+    t_idx = np.empty(n, dtype=int)
+    w_idx = np.empty(n, dtype=int)
+    b_idx = np.empty(n, dtype=int)
+    for i, (th, w, b) in enumerate(triples):
+        t_idx[i] = instance.theta_id(th)
+        w_idx[i] = instance.omega_id(w)
+        b_idx[i] = instance.budget_id(b)
+    nw, nt, nb = len(instance.omega), len(instance.theta), len(instance.budgets)
+    counts = np.zeros((nw, nt, nb))
+    np.add.at(counts, (w_idx, t_idx, b_idx), 1.0)
+    joint_full = counts / n
+    pair_mass = joint_full.sum(axis=0)
+    index = tuple((ti, bi) for ti in range(nt) for bi in range(nb)
+                  if pair_mass[ti, bi] > 0.0)
+    joint = np.stack([joint_full[:, ti, bi] for ti, bi in index])
+    beliefs = []
+    for ti, bi in index:
+        later = (t_idx[1:] == ti) & (b_idx[1:] == bi)
+        tally = np.bincount(w_idx[1:][later], minlength=nw).astype(float)
+        tally[w_idx[0]] += 1.0
+        beliefs.append(tally / tally.sum())
+    return EmpiricalPrior(instance, index, joint.sum(axis=1), joint, np.stack(beliefs), n)
+
+
+def _stream(instance, seed, k):
+    return [json.dumps({"theta": t, "omega": w, "b": b})
+            for t, w, b in reference_instance_draw(instance, np.random.default_rng(seed), k)]
+
+
+def _oracle_pair(kind, instance, seed, k):
+    """Two oracles in the same state: for the reference and for draw_samples."""
+    if kind == "replay":
+        lines = _stream(instance, seed, k)
+        return ReplayOracle(lines), ReplayOracle(lines)
+    source = instance if kind == "instance" else dataclasses.replace(instance)
+    return (InstanceOracle(source, np.random.default_rng(seed)),
+            InstanceOracle(source, np.random.default_rng(seed)))
+
+
+def _state(oracle):
+    """What an oracle hands out next: the generator's next draw or the replay position."""
+    return oracle.rng.random() if isinstance(oracle, InstanceOracle) else oracle._pos
+
+
+def _outcome(fn):
+    try:
+        emp = fn()
+    except Exception as exc:
+        return type(exc), str(exc)
+    assert emp.joint.flags.c_contiguous and emp.beliefs.flags.c_contiguous
+    return (emp.index, emp.n, emp.weights.dtype, emp.weights.tobytes(),
+            emp.joint.shape, emp.joint.tobytes(), emp.beliefs.shape, emp.beliefs.tobytes())
+
+
+def _assert_same(ref_oracle, oracle, n, live, instance):
+    expected = _outcome(lambda: reference_draw_samples(ref_oracle, n, live, instance))
+    assert _outcome(lambda: draw_samples(oracle, n, live, instance)) == expected
+    assert _state(oracle) == _state(ref_oracle)
+    return expected
+
+
+def test_instance_draw_matches_the_label_loop(box):
+    rng = np.random.default_rng(20261018)
+    for inst in [box] + [random_correlated_instance(rng) for _ in range(5)]:
+        oracle = InstanceOracle(inst, np.random.default_rng(3))
+        ref_rng = np.random.default_rng(3)
+        for k in (0, 1, 2, 500):
+            assert oracle.draw(k) == reference_instance_draw(inst, ref_rng, k)
+        assert oracle.rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("kind", ["instance", "copy", "replay"])
+def test_draw_samples_matches_the_label_loop(kind, box):
+    rng = np.random.default_rng(20261018)
+    shapes = [box] + [random_correlated_instance(rng) for _ in range(20)]
+    for s, inst in enumerate(shapes):
+        live = reference_instance_draw(inst, np.random.default_rng(100 + s), 1)[0]
+        for n in (1, 2, 10_000):
+            ref_oracle, oracle = _oracle_pair(kind, inst, s, n + 3)
+            assert isinstance(_assert_same(ref_oracle, oracle, n, live, inst)[0], tuple)
+
+
+def test_draw_samples_looks_each_distinct_triple_up_once(box, monkeypatch):
+    calls = []
+    for name in ("theta_id", "omega_id", "budget_id"):
+        original = getattr(type(box), name)
+        monkeypatch.setattr(type(box), name, lambda self, x, f=original, name=name:
+                            calls.append(name) or f(self, x))
+    lines = _stream(box, 9, 10_000)
+    for oracle in (ReplayOracle(lines), InstanceOracle(dataclasses.replace(box),
+                                                       np.random.default_rng(9))):
+        calls.clear()
+        draw_samples(oracle, 10_000, LIVE, box)
+        # the live triple and at most the box's four positive cells per field
+        assert all(calls.count(name) <= 5 for name in ("theta_id", "omega_id", "budget_id"))
+    calls.clear()
+    draw_samples(InstanceOracle(box, np.random.default_rng(9)), 10_000, LIVE, box)
+    assert len(calls) == 3  # the instance's own oracle hands out indices
+
+
+UNKNOWN_TYPE = '{"theta": "9", "omega": "1", "b": 50.0}'
+UNKNOWN_STATE = '{"theta": "0", "omega": "7", "b": 50.0}'
+OFF_GRID = '{"theta": "0", "omega": "1", "b": 60.0}'
+ALL_BAD = '{"theta": "9", "omega": "7", "b": 60.0}'
+
+
+@pytest.mark.parametrize("case", [
+    # (name, where the bad lines go among 20 good ones, the bad lines, live
+    # triple, n, lines the caller draws first)
+    ("unknown type", 5, [UNKNOWN_TYPE], LIVE, 15, 0),
+    ("unknown state", 7, [UNKNOWN_STATE], LIVE, 15, 0),
+    ("off-grid budget", 2, [OFF_GRID], LIVE, 15, 0),
+    ("two bad lines", 2, [OFF_GRID, UNKNOWN_TYPE], LIVE, 15, 0),
+    ("every field bad", 4, [ALL_BAD], LIVE, 15, 0),
+    ("exhausted stream", 0, [], LIVE, 30, 0),
+    ("bad live type", 0, [], ("5", "1", 50.0), 10, 0),
+    ("bad live state", 0, [], ("0", "5", 50.0), 10, 0),
+    ("bad live budget", 0, [], ("0", "1", 70.0), 10, 0),
+    ("bad live in every field", 0, [], ("5", "5", 70.0), 10, 0),
+    ("bad live and bad line", 3, [UNKNOWN_TYPE], ("5", "1", 50.0), 10, 0),
+    ("bad live and exhausted", 0, [], ("5", "1", 50.0), 40, 0),
+    ("bad lines first seen in another order", 0,
+     [UNKNOWN_TYPE, UNKNOWN_STATE, UNKNOWN_STATE, UNKNOWN_TYPE], LIVE, 8, 2),
+], ids=lambda case: case[0])
+def test_draw_samples_errors_match_the_label_loop(case, box):
+    _, at, bad, live, n, pre = case
+    good = _stream(box, 3, 20)
+    lines = good[:at] + bad + good[at:]
+    ref_oracle, oracle = ReplayOracle(lines), ReplayOracle(lines)
+    assert ref_oracle.draw(pre) == oracle.draw(pre)
+    assert _assert_same(ref_oracle, oracle, n, live, box)[0] is InputError
+
+
+@pytest.mark.parametrize("kind", ["instance", "copy"])
+@pytest.mark.parametrize("live", [("5", "1", 50.0), ("0", "5", 50.0), ("0", "1", 70.0)])
+def test_bad_live_triple_costs_the_instance_oracle_its_draws(kind, live, box):
+    ref_oracle, oracle = _oracle_pair(kind, box, 4, 0)
+    assert _assert_same(ref_oracle, oracle, 10, live, box)[0] is InputError
+
+
+def test_oracle_over_other_labels_matches_the_label_loop(box):
+    other = dataclasses.replace(box, omega=("0", "2"))
+    ref_oracle, oracle = (InstanceOracle(other, np.random.default_rng(8)) for _ in range(2))
+    assert _assert_same(ref_oracle, oracle, 100, LIVE, box) == (
+        InputError, "unknown state label '2'")
+
+
+@pytest.mark.parametrize("line, field", [
+    ('{"theta": 0, "omega": "1", "b": 50}', "theta"),
+    ('{"theta": "0", "omega": 1, "b": 50}', "omega"),
+    ('{"theta": ["0"], "omega": "1", "b": 50}', "theta"),
+    ('{"theta": "0", "omega": null, "b": 50}', "omega"),
+    ('{"theta": "0", "omega": "1", "b": true}', "'b'"),
+    ('{"theta": "0", "omega": "1", "b": "50"}', "'b'"),
+    ('{"theta": "0", "omega": "1", "b": NaN}', "'b'"),
+    ('{"theta": "0", "omega": "1", "b": 1e999}', "'b'"),
+    ('{"theta": "0", "omega": "1", "b": 1' + "0" * 400 + "}", "'b'"),
+    ('{"theta": "0", "omega": "1"}', "'b'"),
+    ('["0", "1", 50]', "object"),
+    ("[" * 100_000, "deeply"),
+], ids=["int theta", "int omega", "list theta", "null omega", "bool b", "string b",
+        "NaN b", "inf b", "huge int b", "no b", "list line", "deep line"])
+def test_replay_oracle_rejects_mistyped_fields(line, field):
+    good = json.dumps({"theta": "0", "omega": "1", "b": 50.0})
+    with pytest.raises(InputError, match="bad sample line 3 ") as info:
+        ReplayOracle([good, good, line, good])
+    assert field in str(info.value)
+
+
+def test_replay_oracle_parses_each_distinct_line_once(monkeypatch):
+    loads = []
+    monkeypatch.setattr(json, "loads", lambda s, f=json.loads: loads.append(s) or f(s))
+    lines = _stream(treasure_box(), 2, 2000) + ["", "  "]
+    oracle = ReplayOracle(lines)
+    assert len(loads) == len({line.strip() for line in lines if line.strip()}) <= 4
+    assert oracle.draw(2000) == [tuple(json.loads(line).values()) for line in lines[:2000]]
