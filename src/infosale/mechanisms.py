@@ -20,9 +20,11 @@ in how that transfer is charged:
                   transfer is a two-point lottery {deposit, -M}
                   (solve_cm_probr).
 
-Menu.blocks, Menu.cost and Menu.find hold every difference between the kinds;
-revenue, buyer utility, verification and the protocol embedding read a menu
-only through them. The first three solvers require the state to be
+Menu.blocks, Menu.cost and Menu.find (with lookup, its form for many buyers)
+hold every difference between the kinds; revenue, buyer utility,
+verification and the protocol embedding read a menu only through them.
+menu_values is the one table of a menu's values against a prior, which
+verification, expected revenue and the revenue cap read. The first three solvers require the state to be
 independent of (type, budget) and share one LP builder, differing only in the
 menu, weights, truthfulness pairs and price boxes they pass it. The
 probabilistic-return LP handles correlated priors and solves over a
@@ -38,8 +40,8 @@ import numpy as np
 
 from .errors import InputError, PreconditionError, SolverFailure
 from .lpcore import INFEASIBLE, LinearProgram
-from .model import (Instance, PriorView, conditional_belief, is_independent,
-                    prior_view, PROB_TOL)
+from .model import (Instance, PriorView, conditional_belief, information_values,
+                    is_independent, prior_view, PROB_TOL)
 
 
 def pair_key(theta: str, b: float) -> str:
@@ -93,24 +95,31 @@ class Menu:
             return float(self.payments[i])
         return float(self.menu[i][1])
 
+    def lookup(self, thetas, budgets) -> np.ndarray:
+        """The entry each truthful (theta, b) buyer reports, -1 for none: the
+        first of the buyer's type whose level is b up to 1e-9 (relative),
+        or of the buyer's type alone for dirp."""
+        if not self.menu:
+            return np.full(len(thetas), -1)
+        code = {}
+        entry_type = np.array([code.setdefault(t, len(code)) for t, _ in self.menu])
+        levels = np.array([lv for _, lv in self.menu], dtype=float)
+        same = np.abs(levels - np.asarray(budgets, dtype=float)[:, None]) <= (
+            1e-9 * np.maximum(1.0, np.abs(levels)))
+        match = (np.array([code.get(t, -1) for t in thetas])[:, None] == entry_type) & (
+            same | (self.kind == "dirp"))
+        return np.where(match.any(axis=1), match.argmax(axis=1), -1)
+
     def find(self, theta: str, b: float) -> int | None:
-        """The entry a truthful (theta, b) buyer reports, or None; a dirp
-        entry matches by type alone."""
-        for i, (t, lv) in enumerate(self.menu):
-            if t == theta and (self.kind == "dirp"
-                               or abs(lv - b) <= 1e-9 * max(1.0, abs(lv))):
-                return i
-        return None
+        """lookup for one buyer, with None for no entry."""
+        i = int(self.lookup([theta], [b])[0])
+        return None if i < 0 else i
 
     def menu_index(self, theta: str, b: float) -> int:
         i = self.find(theta, b)
         if i is None:
             raise InputError(f"({theta!r}, {b:g}) is not on the mechanism's menu")
         return i
-
-    def take(self, i: int, weights: np.ndarray) -> float:
-        """Expected transfer from entry i under (unnormalized) state weights."""
-        return float(weights @ sum(t * cols.sum(axis=1) for _, t, cols in self.blocks(i)))
 
     @property
     def kernel_pay(self) -> np.ndarray:
@@ -144,6 +153,14 @@ def _require_independent(instance: Instance, what: str) -> None:
             "this instance's prior does not factor")
 
 
+def _rec_values(belief: np.ndarray, rows: np.ndarray, util: np.ndarray) -> np.ndarray:
+    """values[i, c, a]: what playing action a whenever column c of rows[i]
+    recommends is worth under belief[i] and util[i], not normalized by the
+    column's mass. belief is (k, n_omega), rows (k, n_omega, columns) and
+    util (k, n_omega, n_actions)."""
+    return np.einsum("iw,iwc,iwa->ica", belief, rows, util)
+
+
 def _clean_kernel(rows: np.ndarray, belief: np.ndarray, util: np.ndarray) -> np.ndarray:
     """Zero negative entries, renormalize each state's row, and merge each
     recommendation into the one its own posterior best-responds to.
@@ -164,7 +181,7 @@ def _clean_kernel(rows: np.ndarray, belief: np.ndarray, util: np.ndarray) -> np.
     rows = rows / np.where(totals <= 0.0, 1.0, totals)
     na = util.shape[-1]
     cols = np.arange(rows.shape[-1])
-    values = np.einsum("iw,iwc,iwa->ica", belief, rows, util)
+    values = _rec_values(belief, rows, util)
     scale = np.einsum("iw,iwc,iw->ic", belief, rows, np.abs(util).max(axis=-1))
     regret = values.max(axis=-1) - values[:, cols, cols % na]
     move = regret > 8 * np.finfo(float).eps * scale
@@ -322,9 +339,10 @@ def solve_cm_depr(instance: Instance) -> Menu:
 def solve_cm_dirp(instance: Instance, public_budget: float) -> Menu:
     """Optimal direct-payment menu when every buyer shares one public budget.
 
-    Reports are types only; any report is affordable to anyone, so
-    truthfulness runs over all ordered type pairs. Menu weights are the
-    type marginals summed over budget levels.
+    Reports are types only, and truthfulness runs over all ordered type
+    pairs. Each price is boxed by the public budget and by its type's lowest
+    positive budget level, so every type can pay for its own entry. Menu
+    weights are the type marginals summed over budget levels.
     """
     _require_independent(instance, "solve_cm_dirp")
     if not (np.isfinite(public_budget) and public_budget >= 0):
@@ -333,7 +351,9 @@ def solve_cm_dirp(instance: Instance, public_budget: float) -> Menu:
     menu_thetas = [ti for ti in range(len(instance.theta)) if theta_weights[ti] > PROB_TOL]
     menu = [(ti, float(public_budget)) for ti in menu_thetas]
     ic_pairs = [(i, j) for i in range(len(menu)) for j in range(len(menu)) if j != i]
-    t_bounds = [(-instance.seller_budget, public_budget)] * len(menu)
+    lowest = np.argmax(instance.type_marginal() > PROB_TOL, axis=1)
+    t_bounds = [(-instance.seller_budget, min(public_budget, instance.budgets[lowest[ti]]))
+                for ti in menu_thetas]
     return Menu("dirp", tuple((instance.theta[ti], b) for ti, b in menu),
                 *_solve_deposit_family(instance, menu, theta_weights[menu_thetas],
                                        ic_pairs, t_bounds, "direct-payment"))
@@ -524,15 +544,99 @@ def solve_cm_probr(instance: Instance) -> Menu:
 # ---------------------------------------------------------------------------
 
 
+def _pair_arrays(view: PriorView):
+    """(type index, budget, (P, n_omega, n_actions) utility rows) of the
+    view's pairs."""
+    ti, bi = np.array(view.index, dtype=int).reshape(-1, 2).T
+    inst = view.instance
+    return ti, np.array(inst.budgets, dtype=float)[bi], inst.utility[:, ti, :].transpose(1, 0, 2)
+
+
+def _cap(weights, budget, informed, outside) -> float:
+    """Sum over pairs of weight * min(budget, value of full information)."""
+    # a value of information is never negative; rounding can say otherwise
+    return float(weights @ np.minimum(budget, np.maximum(0.0, informed - outside)))
+
+
+@dataclass(frozen=True, eq=False)
+class MenuValues:
+    """A menu's values to the P positive pairs of a prior view, reporting
+    each of its m entries. Values are expected utilities under the pair's
+    belief; each kernel column is one recommendation, and a remap may
+    replace its action.
+
+    budget, truth (P,): the pair's budget and truthful entry, -1 if none
+    affordable (P, m): whether the budget covers each entry's cost
+    served (P,): whether the pair has an entry it can afford
+    take (P, m): each report's expected transfer
+    best (P, m): each report's value under the best remaps, net of take
+    obedient (P,): the truthful entry's value when every recommendation is
+        followed, net of take
+    rec_mass, rec_obedient, rec_best (P, columns): per recommendation of the
+        truthful entry, its probability and the values of following it and
+        of its best remap (not divided by the probability nor net of take)
+    informed, outside (P,): the values of knowing the state and of acting on
+        the belief alone
+
+    A pair without an entry reads entry 0 in the truthful fields.
+    """
+
+    view: PriorView
+    budget: np.ndarray
+    truth: np.ndarray
+    affordable: np.ndarray
+    served: np.ndarray
+    take: np.ndarray
+    best: np.ndarray
+    obedient: np.ndarray
+    rec_mass: np.ndarray
+    rec_obedient: np.ndarray
+    rec_best: np.ndarray
+    informed: np.ndarray
+    outside: np.ndarray
+
+    @property
+    def revenue(self) -> float:
+        """The expected take from truthful buyers; no entry pays nothing."""
+        own = self.take[np.arange(len(self.truth)), np.maximum(self.truth, 0)]
+        return float(self.view.weights @ np.where(self.truth >= 0, own, 0.0))
+
+    @property
+    def cap(self) -> float:
+        """The view's revenue_cap."""
+        return _cap(self.view.weights, self.budget, self.informed, self.outside)
+
+
+def menu_values(mech: Menu, prior: Instance | PriorView) -> MenuValues:
+    """The value table of a menu against a prior, from one _rec_values call
+    over every (pair, entry) row."""
+    if not mech.menu:
+        raise InputError("a menu needs at least one entry")
+    view = prior_view(prior)
+    ti, b, util = _pair_arrays(view)
+    (P, nw, na), (m, width) = util.shape, (len(mech.menu), mech.kernel.shape[-1])
+    values = _rec_values(np.repeat(view.beliefs, m, axis=0), np.tile(mech.kernel, (P, 1, 1)),
+                         np.repeat(util, m, axis=0)).reshape(P, m, width, na)
+    mass = np.einsum("pw,jwc->pjc", view.beliefs, mech.kernel)
+    transfer = np.array([[t for _, t, _ in mech.blocks(j)] for j in range(m)])
+    paid = transfer.repeat(na, axis=1) * mass                           # (P, m, width)
+    remapped = values.max(axis=-1)
+    truth = mech.lookup([view.instance.theta[t] for t in ti], b)
+    pairs, own, cols = np.arange(P), np.maximum(truth, 0), np.arange(width)
+    obeyed = values[pairs, own][:, cols, cols % na]                     # (P, width)
+    can_pay = affordable(np.array([mech.cost(j) for j in range(m)]), b[:, None])
+    informed, outside = information_values(view.beliefs, util)
+    return MenuValues(
+        view=view, budget=b, truth=truth, affordable=can_pay,
+        served=(truth >= 0) & can_pay[pairs, own], take=paid.sum(axis=-1),
+        best=(remapped - paid).sum(axis=-1), obedient=(obeyed - paid[pairs, own]).sum(axis=-1),
+        rec_mass=mass[pairs, own], rec_obedient=obeyed, rec_best=remapped[pairs, own],
+        informed=informed, outside=outside)
+
+
 def expected_revenue(mech: Menu, instance: Instance) -> float:
     """Seller's expected take when every buyer reports truthfully and obeys."""
-    total = 0.0
-    for ti, theta in enumerate(instance.theta):
-        for bi, b in enumerate(instance.budgets):
-            i = mech.find(theta, b)
-            if i is not None:
-                total += mech.take(i, instance.prior[:, ti, bi])
-    return float(total)
+    return menu_values(mech, instance).revenue
 
 
 def buyer_utility(mech: Menu, instance: Instance,
@@ -605,21 +709,11 @@ def full_revelation_menu(instance: Instance) -> Menu:
     probabilistic-return solver after lambda-replication.
     """
     view = prior_view(instance)
-    pairs = view.index
-    base = np.empty(len(pairs))
-    informed = np.empty(len(pairs))
-    kernel = np.zeros((len(pairs), len(instance.omega), len(instance.actions)))
-    for i, ((ti, bi), belief) in enumerate(zip(pairs, view.beliefs)):
-        util = instance.utility[:, ti, :]
-        best_act = util.argmax(axis=1)
-        kernel[i, np.arange(len(instance.omega)), best_act] = 1.0
-        informed[i] = float(belief @ util.max(axis=1))
-        outside = float(np.max(belief @ util))
-        base[i] = min(instance.budgets[bi], informed[i] - outside)
-    prices = np.array([
-        min(base[j] for j, (tj, bj) in enumerate(pairs)
-            if instance.budgets[bj] <= instance.budgets[bi])
-        for ti, bi in pairs])
+    _, b, util = _pair_arrays(view)
+    informed, outside = information_values(view.beliefs, util)
+    base = np.minimum(b, informed - outside)
+    prices = np.where(b[None, :] <= b[:, None], base, np.inf).min(axis=1)
+    kernel = (util.argmax(axis=-1)[..., None] == np.arange(len(instance.actions))).astype(float)
     return Menu("depr", _menu_labels(view), prices, kernel,
                 informed - prices, float(view.weights @ prices))
 
@@ -628,13 +722,8 @@ def revenue_cap(prior: Instance | PriorView) -> float:
     """Upper bound no mechanism can beat under a prior: each type pays at
     most the smaller of its wallet and its value of full information."""
     view = prior_view(prior)
-    total = 0.0
-    for (ti, bi), weight, belief in zip(view.index, view.weights, view.beliefs):
-        util = view.instance.utility[:, ti, :]
-        # a value of information is never negative; rounding can say otherwise
-        value = max(0.0, float(belief @ util.max(axis=1)) - float(np.max(belief @ util)))
-        total += weight * min(view.instance.budgets[bi], value)
-    return float(total)
+    _, b, util = _pair_arrays(view)
+    return _cap(view.weights, b, *information_values(view.beliefs, util))
 
 
 # ---------------------------------------------------------------------------

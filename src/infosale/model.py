@@ -141,12 +141,11 @@ def prior_view(prior: Instance | PriorView) -> PriorView:
     if not isinstance(prior, Instance):
         raise InputError("prior must be an Instance or a PriorView")
     index = tuple(positive_types(prior))
-    marg = prior.type_marginal()
-    shape = (len(index), len(prior.omega))
-    return PriorView(prior, index, np.array([marg[ti, bi] for ti, bi in index]),
-                     np.array([prior.prior[:, ti, bi] for ti, bi in index]).reshape(shape),
-                     np.array([conditional_belief(prior, ti, bi) for ti, bi in index]
-                              ).reshape(shape))
+    ti, bi = np.array(index, dtype=int).reshape(-1, 2).T
+    # contiguous rows sum in the order conditional_belief's slices do
+    joint = np.ascontiguousarray(prior.prior[:, ti, bi].T)              # (P, n_omega)
+    return PriorView(prior, index, prior.type_marginal()[ti, bi], joint,
+                     joint / joint.sum(axis=1, keepdims=True))
 
 
 def validate(instance: Instance) -> None:
@@ -313,12 +312,21 @@ def conditional_belief(instance: Instance, ti: int, bi: int) -> np.ndarray:
     return joint / total
 
 
+def information_values(belief: np.ndarray, util: np.ndarray):
+    """(informed, outside): the expected utility of a buyer who learns the
+    state, E[max_a u], and of one acting on the belief alone, max_a E[u].
+    belief is (..., n_omega) and util (..., n_omega, n_actions); every sum
+    is one BLAS dot, whatever the batch shape."""
+    return (np.vecdot(belief, util.max(axis=-1)),
+            np.vecdot(belief[..., None, :], np.swapaxes(util, -1, -2)).max(axis=-1))
+
+
 def outside_option(instance: Instance, theta: str, b: float) -> float:
     """Best expected utility from acting on the prior belief alone:
     max_a E[u(omega, theta, a) | theta, b]."""
     ti, bi = instance.theta_id(theta), instance.budget_id(b)
     belief = conditional_belief(instance, ti, bi)
-    return float(np.max(belief @ instance.utility[:, ti, :]))
+    return float(information_values(belief, instance.utility[:, ti, :])[1])
 
 
 def surplus(instance: Instance, theta: str, b: float | None = None) -> float:
@@ -336,10 +344,8 @@ def surplus(instance: Instance, theta: str, b: float | None = None) -> float:
         belief = joint / total
     else:
         belief = conditional_belief(instance, ti, instance.budget_id(b))
-    util = instance.utility[:, ti, :]
-    informed = float(belief @ util.max(axis=1))
-    uninformed = float(np.max(belief @ util))
-    return informed - uninformed
+    informed, outside = information_values(belief, instance.utility[:, ti, :])
+    return float(informed - outside)
 
 
 def is_independent(instance: Instance, tol: float = PROB_TOL) -> bool:

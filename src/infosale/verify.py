@@ -4,7 +4,11 @@ Every check here is direct expectation arithmetic — no LP anywhere — so a
 green report is evidence the solvers built what they claim, not a replay of
 their own constraints. Checks take a prior: an Instance (verify against the
 true prior) or any PriorView, such as the sampling module's empirical
-estimate.
+estimate. Every check but the budget check reads one value table,
+mechanisms.menu_values: truthfulness, participation and obedience are
+masked minima over it (the first minimum in (pair, cell) order decides, or
+the first NaN), and the revenue cap is a sum over it. verify_all builds
+the table once, and these checks also accept it in place of the prior.
 
 Conventions: slack is (left side − right side) of the defining inequality,
 so negative slack means violation; a check at slack s passes when
@@ -19,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mechanisms import Menu, affordable, revenue_cap
-from .model import Instance, PriorView, prior_view
+from .mechanisms import Menu, MenuValues, menu_values
+from .model import Instance, PriorView
 
 DEFAULT_TOL = 1e-6
 REC_PROB_FLOOR = 1e-9   # recommendations rarer than this have no posterior
@@ -68,106 +72,65 @@ class VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# mechanism arithmetic over a view
-# ---------------------------------------------------------------------------
-
-
-def _worse(slack: float, worst: float) -> bool:
-    """Whether slack replaces worst: a NaN slack counts as the worst."""
-    return bool(slack < worst or (np.isnan(slack) and not np.isnan(worst)))
-
-
-def _entry_values(mech: Menu, instance: Instance, belief: np.ndarray,
-                  ti: int, entry: int):
-    """(obedient value, best-deviation value, per-recommendation rows).
-
-    Rows are (rec label, probability, obedient conditional value, best
-    conditional value) with values normalized per recommendation; the two
-    aggregate values are absolute utilities including transfers.
-    """
-    uth = instance.utility[:, ti, :]
-    na = len(instance.actions)
-    rows = []
-    obedient = 0.0
-    best = 0.0
-    for sign, transfer, kernel in mech.blocks(entry):
-        for a in range(na):
-            v = belief * kernel[:, a]
-            mass = float(v.sum())
-            ob_val = float(v @ uth[:, a])
-            dev_val = float(max(v @ uth[:, a2] for a2 in range(na)))
-            obedient += ob_val - transfer * mass
-            best += dev_val - transfer * mass
-            if mass > REC_PROB_FLOOR:
-                label = instance.actions[a] if sign is None else f"({instance.actions[a]},{sign})"
-                rows.append((label, mass, ob_val / mass, dev_val / mass))
-    return obedient, best, rows
-
-
-# ---------------------------------------------------------------------------
 # the checks
 # ---------------------------------------------------------------------------
 
 
-def _walk(name: str, mechanism: Menu, view: PriorView, eps: float, tol: float | None,
-          empty: str, slacks, mode: str | None = None) -> VerificationReport:
-    """One check over every positive pair of the view.
+def _worst(slack: np.ndarray) -> tuple[int, float]:
+    """The flat index and value of the cell that decides a slack table (+inf
+    where a cell does not count): the first NaN, else the first minimum."""
+    if not slack.size:
+        return 0, np.inf
+    k = int(np.argmin(slack))
+    return k, float(slack.flat[k])
 
-    slacks(ti, b, belief, truth) yields (slack, case) for a pair whose
-    truthful report is menu entry `truth`; the worst slack decides the
-    check. A pair the menu does not serve (no entry, or an entry costing
-    more than the pair's budget) fails the check at once.
-    """
-    tol = _tol(tol)
-    inst = view.instance
-    worst, worst_case = np.inf, empty
-    for (ti, bi), belief in zip(view.index, view.beliefs):
-        b = float(inst.budgets[bi])
-        pair = f"({inst.theta[ti]},{b:g})"
-        truth = mechanism.find(inst.theta[ti], b)
-        if truth is None or not affordable(mechanism.cost(truth), b):
-            worst = -np.inf
-            worst_case = (f"{pair} missing from menu" if truth is None else
-                          f"{pair} cannot afford its own menu entry {truth}")
-            break
-        for slack, case in slacks(ti, b, belief, truth):
-            if _worse(slack, worst):
-                worst, worst_case = slack, pair + case
-    return VerificationReport([CheckResult(name, bool(worst >= -eps - tol), float(worst),
+
+def _table(mechanism: Menu, prior: Instance | PriorView | MenuValues) -> MenuValues:
+    """The menu's value table against prior, or prior if it is one."""
+    return prior if isinstance(prior, MenuValues) else menu_values(mechanism, prior)
+
+
+def _decide(name: str, table: MenuValues, slack: np.ndarray, eps: float, tol: float | None,
+            empty: str, case=lambda k: "", mode: str | None = None) -> VerificationReport:
+    """One check over a slack table with a row per pair of the view; case(k)
+    describes cell k of a row. A pair the menu does not serve (no entry, or
+    an entry costing more than the pair's budget) fails the check at once,
+    and the first such pair is named."""
+    tol, inst, truth = _tol(tol), table.view.instance, table.truth
+
+    def pair(p):
+        ti, bi = table.view.index[p]
+        return f"({inst.theta[ti]},{float(inst.budgets[bi]):g})"
+    if not table.served.all():
+        p = int(np.argmin(table.served))
+        worst, worst_case = -np.inf, (f"{pair(p)} missing from menu" if truth[p] < 0 else
+                                      f"{pair(p)} cannot afford its own menu entry {truth[p]}")
+    else:
+        k, worst = _worst(slack)
+        worst_case = empty if worst == np.inf else pair(k // slack.shape[1]) + case(
+            k % slack.shape[1])
+    return VerificationReport([CheckResult(name, bool(worst >= -eps - tol), worst,
                                            worst_case, eps, tol, mode)])
 
 
-def check_ic(mechanism: Menu, prior: Instance | PriorView, eps: float = 0.0,
+def check_ic(mechanism: Menu, prior: Instance | PriorView | MenuValues, eps: float = 0.0,
              tol: float | None = None) -> VerificationReport:
     """Truth beats every affordable misreport, even with free action remaps."""
-    view = prior_view(prior)
-    inst = view.instance
-
-    def slacks(ti, b, belief, truth):
-        truthful, _, _ = _entry_values(mechanism, inst, belief, ti, truth)
-        for entry in range(len(mechanism.menu)):
-            if entry != truth and affordable(mechanism.cost(entry), b):
-                _, deviation, _ = _entry_values(mechanism, inst, belief, ti, entry)
-                yield truthful - deviation, f" reporting menu entry {entry}"
-    return _walk("ic", mechanism, view, eps, tol, "no deviation available", slacks)
+    table = _table(mechanism, prior)
+    other = table.affordable & (np.arange(table.best.shape[1]) != table.truth[:, None])
+    return _decide("ic", table, np.where(other, table.obedient[:, None] - table.best, np.inf),
+                   eps, tol, "no deviation available", lambda j: f" reporting menu entry {j}")
 
 
-def check_ir(mechanism: Menu, prior: Instance | PriorView, eps: float = 0.0,
+def check_ir(mechanism: Menu, prior: Instance | PriorView | MenuValues, eps: float = 0.0,
              tol: float | None = None) -> VerificationReport:
     """Truthful participation beats acting on the prior belief alone."""
-    view = prior_view(prior)
-    inst = view.instance
-
-    def slacks(ti, b, belief, truth):
-        truthful, _, _ = _entry_values(mechanism, inst, belief, ti, truth)
-        outside = float(max(belief @ inst.utility[:, ti, a]
-                            for a in range(len(inst.actions))))
-        yield truthful - outside, ""
-    return _walk("ir", mechanism, view, eps, tol, "no types", slacks)
+    table = _table(mechanism, prior)
+    return _decide("ir", table, (table.obedient - table.outside)[:, None], eps, tol, "no types")
 
 
-def check_obedience(mechanism: Menu, prior: Instance | PriorView, eps: float = 0.0,
-                    tol: float | None = None,
+def check_obedience(mechanism: Menu, prior: Instance | PriorView | MenuValues,
+                    eps: float = 0.0, tol: float | None = None,
                     aggregate: bool | None = None) -> VerificationReport:
     """Recommended actions are worth taking.
 
@@ -179,17 +142,21 @@ def check_obedience(mechanism: Menu, prior: Instance | PriorView, eps: float = 0
     """
     if aggregate is None:
         aggregate = eps > 0
-    view = prior_view(prior)
-    inst = view.instance
+    table = _table(mechanism, prior)
+    mass = table.rec_mass
+    rec = mass > REC_PROB_FLOOR
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ob, dev = table.rec_obedient / mass, table.rec_best / mass
+    if aggregate:
+        return _decide("obedience", table, -np.where(rec, mass * (dev - ob), 0.0).sum(
+            axis=1, keepdims=True), eps, tol, "no recommendations", mode="aggregate")
+    actions, signs = table.view.instance.actions, [s for s, _, _ in mechanism.blocks(0)]
 
-    def slacks(ti, b, belief, truth):
-        _, _, rows = _entry_values(mechanism, inst, belief, ti, truth)
-        if aggregate:
-            yield -sum(mass * (dev - ob) for _, mass, ob, dev in rows), ""
-        else:
-            yield from ((ob - dev, f" recommended {label}") for label, _, ob, dev in rows)
-    return _walk("obedience", mechanism, view, eps, tol, "no recommendations", slacks,
-                 "aggregate" if aggregate else "per-recommendation")
+    def case(c):
+        action, sign = actions[c % len(actions)], signs[c // len(actions)]
+        return f" recommended {action if sign is None else f'({action},{sign})'}"
+    return _decide("obedience", table, np.where(rec, ob - dev, np.inf), eps, tol,
+                   "no recommendations", case, "per-recommendation")
 
 
 def check_budget(mechanism: Menu, seller_budget: float | None = None,
@@ -201,43 +168,37 @@ def check_budget(mechanism: Menu, seller_budget: float | None = None,
     if mechanism.kind == "probr":
         worst = 0.0
     else:
-        for (th, b), t in zip(mechanism.menu, mechanism.payments):
-            slack = b - t
-            if _worse(slack, worst):
-                worst, worst_case = slack, f"price {t:g} vs budget {b:g} at {th!r}"
-            if seller_budget is not None:
-                slack = t + seller_budget
-                if _worse(slack, worst):
-                    worst, worst_case = slack, f"price {t:g} vs stake {seller_budget:g} at {th!r}"
+        prices = mechanism.payments
+        stake = prices + (np.inf if seller_budget is None else seller_budget)
+        k, worst = _worst(np.column_stack([[b for _, b in mechanism.menu] - prices, stake]))
+        if worst != np.inf:
+            (th, b), t = mechanism.menu[k // 2], prices[k // 2]
+            worst_case = (f"price {t:g} vs budget {b:g} at {th!r}" if k % 2 == 0 else
+                          f"price {t:g} vs stake {seller_budget:g} at {th!r}")
     return VerificationReport([CheckResult("budget", bool(worst >= -tol),
                                            float(worst), worst_case, 0.0, tol)])
 
 
-def check_revenue_cap(mechanism: Menu, prior: Instance | PriorView,
+def check_revenue_cap(mechanism: Menu, prior: Instance | PriorView | MenuValues,
                       tol: float | None = None) -> VerificationReport:
     """Revenue can't beat sum of min(budget, value of full information)."""
     tol = _tol(tol)
-    view = prior_view(prior)
-    cap, revenue = revenue_cap(view), 0.0
-    for (ti, bi), weight, belief in zip(view.index, view.weights, view.beliefs):
-        entry = mechanism.find(view.instance.theta[ti], float(view.instance.budgets[bi]))
-        if entry is not None:
-            revenue += weight * mechanism.take(entry, belief)
-    slack = cap - revenue
+    table = _table(mechanism, prior)
+    cap, revenue = table.cap, table.revenue
     return VerificationReport([CheckResult(
-        "revenue-cap", bool(slack >= -tol), float(slack),
+        "revenue-cap", bool(cap - revenue >= -tol), float(cap - revenue),
         f"revenue {revenue:.6g} vs cap {cap:.6g}", 0.0, tol)])
 
 
 def verify_all(mechanism: Menu, prior: Instance | PriorView, eps: float = 0.0,
                tol: float | None = None) -> VerificationReport:
-    """All checks against one prior; composite passes iff every check does."""
+    """All checks against one prior, from one value table; composite passes
+    iff every check does."""
     tol = _tol(tol)
-    view = prior_view(prior)
+    table = menu_values(mechanism, prior)
     report = VerificationReport()
-    report.checks += check_ic(mechanism, view, eps, tol).checks
-    report.checks += check_ir(mechanism, view, eps, tol).checks
-    report.checks += check_obedience(mechanism, view, eps, tol).checks
-    report.checks += check_budget(mechanism, view.instance.seller_budget, tol).checks
-    report.checks += check_revenue_cap(mechanism, view, tol).checks
+    for check in (check_ic, check_ir, check_obedience):
+        report.checks += check(mechanism, table, eps, tol).checks
+    report.checks += check_budget(mechanism, table.view.instance.seller_budget, tol).checks
+    report.checks += check_revenue_cap(mechanism, table, tol).checks
     return report

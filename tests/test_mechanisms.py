@@ -44,6 +44,23 @@ def test_dirp_public_budget(box):
         assert all(p <= b + 1e-9 for p in mech.payments)
 
 
+@pytest.mark.parametrize("seed, draw", [(20261018, 6), (20261018, 36),
+                                        (20261019, 4), (20261019, 17)])
+def test_dirp_prices_fit_every_budget_of_their_type(seed, draw):
+    # at the highest public budget, a price boxed by that budget alone can
+    # exceed a type's lowest positive budget, which then cannot pay for its
+    # own entry
+    rng = np.random.default_rng(seed)
+    for _ in range(draw):
+        inst = random_independent_instance(rng)
+    mech = solve_cm_dirp(inst, inst.budgets[-1])
+    assert verify_all(mech, inst).passed
+    marg = inst.type_marginal()
+    for (th, _), price in zip(mech.menu, mech.payments):
+        levels = np.array(inst.budgets)[marg[inst.theta_id(th)] > 1e-9]
+        assert price <= levels.min() + 1e-9
+
+
 def test_single_round_value(box):
     mech = solve_single_round(box)
     assert mech.revenue == pytest.approx(40.0, abs=1e-6)
