@@ -1,13 +1,17 @@
-"""Every LP and MILP the solvers hand to HiGHS, pinned by digest.
+"""Every LP and MILP the solvers hand to HiGHS, and every menu they return,
+pinned by digest.
 
 Each call to lpcore's `linprog` or `milp` is captured and hashed: the
 objective, the column bounds, the integrality marks and every constraint
 matrix in the CSR form HiGHS reads (data, indices and indptr) with its
 right-hand sides. Same digests mean the same programs, column for column and
 row for row, so any rewrite of the LP builders must leave them unchanged.
+Each returned menu's payments, kernel, utilities and revenue are hashed the
+same way, so a rewrite of the pricing and cleanup steps must leave every
+bit of the solvers' answers unchanged too.
 
-Regenerate the fixture with `PYTHONPATH=src python tests/test_lp_digests.py`
-only when a program is meant to change.
+Regenerate the fixtures with `PYTHONPATH=src python tests/test_lp_digests.py`
+only when a program or an answer is meant to change.
 """
 
 import hashlib
@@ -24,6 +28,7 @@ from infosale.random_instances import (random_correlated_instance,
                                        random_independent_instance)
 
 FIXTURE = Path(__file__).parent / "fixtures" / "lp_digests.json"
+SOLVER_FIXTURE = Path(__file__).parent / "fixtures" / "solver_digests.json"
 
 
 def _digest(kind: str, arrays) -> str:
@@ -105,6 +110,12 @@ def capture(run) -> list[str]:
     return seen
 
 
+def answer(run) -> str:
+    """Digest of the payments, kernel, utilities and revenue of `run()`."""
+    mech = run()
+    return _digest("menu", [mech.payments, mech.kernel, mech.utilities, mech.revenue])
+
+
 def test_solvers_build_the_pinned_programs():
     expected = json.loads(FIXTURE.read_text())
     got = {name: capture(run) for name, run in _cases().items()}
@@ -113,6 +124,16 @@ def test_solvers_build_the_pinned_programs():
         assert got[name] == expected[name], name
 
 
+def test_solvers_return_the_pinned_answers():
+    expected = json.loads(SOLVER_FIXTURE.read_text())
+    got = {name: answer(run) for name, run in _cases().items()}
+    assert got.keys() == expected.keys()
+    for name in expected:
+        assert got[name] == expected[name], name
+
+
 if __name__ == "__main__":
     FIXTURE.write_text(json.dumps({name: capture(run) for name, run in _cases().items()},
                                   indent=1) + "\n")
+    SOLVER_FIXTURE.write_text(json.dumps({name: answer(run) for name, run in _cases().items()},
+                                         indent=1) + "\n")
