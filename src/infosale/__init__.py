@@ -11,8 +11,7 @@ from .model import (Instance, PriorView, bayes_update, conditional_belief,
                     outside_option, positive_types, prior_view, surplus,
                     treasure_box, validate)
 from .lpcore import LinearProgram, LPSolution
-from .mechanisms import (DepositReturnMechanism, DirectMechanism, Mechanism, Menu,
-                         ProbReturnMechanism, buyer_utility, expected_revenue,
+from .mechanisms import (Menu, buyer_utility, expected_revenue,
                          full_revelation_menu, mechanism_from_json_dict,
                          mechanism_to_json_dict, replicate_as_prob_return,
                          revenue_cap, solve_cm_depr, solve_cm_dirp,

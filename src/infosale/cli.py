@@ -27,8 +27,8 @@ from . import lpcore
 from . import verify as verify_mod
 from .errors import InfosaleError, InputError, PreconditionError
 from .mechanisms import (expected_revenue, mechanism_from_json_dict,
-                         mechanism_to_json_dict, solve_cm_depr, solve_cm_dirp,
-                         solve_cm_probr, solve_single_round)
+                         mechanism_to_json_dict, menu_values, solve_cm_depr,
+                         solve_cm_dirp, solve_cm_probr, solve_single_round)
 from .model import Instance, instance_to_json_dict, load_instance, treasure_box
 from .protocol import (evaluate, mechanism_to_protocol, parse_protocol,
                        protocol_to_json_dict, simulate, two_option_tree)
@@ -173,14 +173,15 @@ def cmd_sample(args) -> int:
         revenues.append(expected_revenue(out["mechanism"], shape))
         live_expected.append(out["expected_transfer"])
         realized.append(out["transfer"])
-        mech, emp = out["mechanism"], out["empirical"]
-        if verify_all(mech, emp, eps=eps).passed:
+        mech = out["mechanism"]
+        table = menu_values(mech, out["empirical"])
+        if verify_all(mech, table, eps=eps).passed:
             pass_eps += 1
-        certified = (check_obedience(mech, emp, slack["obedience"], aggregate=True).passed
-                     and check_ic(mech, emp, slack["ic"]).passed
-                     and check_ir(mech, emp, slack["ir"]).passed
+        certified = (check_obedience(mech, table, slack["obedience"], aggregate=True).passed
+                     and check_ic(mech, table, slack["ic"]).passed
+                     and check_ir(mech, table, slack["ir"]).passed
                      and check_budget(mech, M).passed
-                     and check_revenue_cap(mech, emp, tol=slack["ir"] + 1e-6).passed)
+                     and check_revenue_cap(mech, table, tol=slack["ir"] + 1e-6).passed)
         if certified:
             pass_cert += 1
     r = args.replications

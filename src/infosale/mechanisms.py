@@ -121,18 +121,6 @@ class Menu:
             raise InputError(f"({theta!r}, {b:g}) is not on the mechanism's menu")
         return i
 
-    @property
-    def kernel_pay(self) -> np.ndarray:
-        """probr: the keep-the-deposit block of every entry."""
-        return self.kernel[..., :self.kernel.shape[-1] // 2]
-
-    @property
-    def kernel_refund(self) -> np.ndarray:
-        """probr: the return-deposit-plus-M block of every entry."""
-        return self.kernel[..., self.kernel.shape[-1] // 2:]
-
-
-DirectMechanism = DepositReturnMechanism = ProbReturnMechanism = Mechanism = Menu
 
 
 # ---------------------------------------------------------------------------
@@ -226,28 +214,27 @@ def _menu_labels(view: PriorView) -> tuple[tuple[str, float], ...]:
 # ---------------------------------------------------------------------------
 
 
-def _add_deposit_model(lp: LinearProgram, instance: Instance, menu, weights, ic_pairs,
-                       t_bounds, ic_relax=None):
+def _add_deposit_model(lp: LinearProgram, instance: Instance, types, weights, ic_pairs,
+                       lo, hi, ic_relax=None):
     """Common model of the direct, deposit and single-round menus, added to lp.
 
-    `menu` lists each entry's (theta index, budget) and `weights` its
-    revenue weight. Columns: a recommendation kernel p_i(omega, a) and a
-    price t_i per menu entry i, plus epigraph columns z linearizing the
-    deviator's per-recommendation best response. `ic_pairs` lists the
-    (truth i, report j) constraints to impose; `t_bounds` gives each
-    price's box; `ic_relax`, a (columns, coefficients) pair of arrays with
-    one row per pair (column -1 for no term), adds terms to the
+    `types` gives each menu entry's theta index and `weights` its revenue
+    weight. Columns: a recommendation kernel p_i(omega, a) and a price t_i
+    per menu entry i, plus epigraph columns z linearizing the deviator's
+    per-recommendation best response. `ic_pairs`, an (n, 2) array, lists the
+    (truth i, report j) constraints to impose; `lo` and `hi` (arrays or
+    scalars) box the prices; `ic_relax`, a (columns, coefficients) pair of
+    arrays with one row per pair (column -1 for no term), adds terms to the
     truthfulness rows. The evaluation measure everywhere is the common
-    state prior. Returns the column-id arrays (p, t).
+    state prior. Returns the column-id arrays (p, t) and the entries'
+    (m, n_omega, n_actions) utility rows.
     """
     mu_w = instance.omega_marginal()
     nw, na = len(instance.omega), len(instance.actions)
-    m, n_pairs = len(menu), len(ic_pairs)
-    types = np.array([ti for ti, _ in menu], dtype=int)
+    m, n_pairs = len(types), len(ic_pairs)
     util = instance.utility[:, types, :].transpose(1, 0, 2)            # (m, nw, na)
 
     p = lp.add_block("p", (m, nw, na), 0.0, 1.0)
-    lo, hi = np.array(t_bounds, dtype=float).reshape(m, 2).T
     t = lp.add_block("t", m, lo, hi)
     lp.set_objective(t, weights)
     lp.add_rows("rowsum", p, 1.0, "==", 1.0)
@@ -271,7 +258,7 @@ def _add_deposit_model(lp: LinearProgram, instance: Instance, menu, weights, ic_
     # deviation epigraphs are shared across true budgets: the deviator's
     # value against report j depends only on their type's utility row; each
     # epigraph's rows come just before the first truthfulness row using it
-    i, j = np.array(ic_pairs, dtype=int).reshape(n_pairs, 2).T
+    i, j = ic_pairs.T
     keys = {}
     key = np.array([keys.setdefault(k, len(keys)) for k in zip(types[i].tolist(), j.tolist())],
                    dtype=int)
@@ -284,37 +271,29 @@ def _add_deposit_model(lp: LinearProgram, instance: Instance, menu, weights, ic_
         (first.repeat(na * na), ">=",
          _join(grid, z[:, :, None, None], p[j[first]].transpose(0, 2, 1)[:, :, None]
                ).reshape(-1, 1 + nw),
-         _join(grid, 1.0, (-mu_w * instance.utility[:, types[i[first]], :].transpose(1, 2, 0)
-                           )[:, None]).reshape(-1, 1 + nw), 0.0),
+         _join(grid, 1.0, (-mu_w * util[i[first]].transpose(0, 2, 1))[:, None]).reshape(-1, 1 + nw),
+         0.0),
         (np.arange(n_pairs), ">=",
          _join((n_pairs,), p.reshape(m, -1)[i], t[i][:, None], z[key], t[j][:, None], relax_cols),
          _join((n_pairs,), truth[i], -1.0, -np.ones(na), 1.0, relax_coefs), 0.0))
-    return p, t
+    return p, t, util
 
 
-def _solve_deposit_family(instance: Instance, menu, weights, ic_pairs, t_bounds, lp_name):
-    """Solve and clean the common LP (see _add_deposit_model).
+_LP_NAMES = {"depr": "deposit-return", "dirp": "direct-payment", "single-round": "single-round"}
 
-    Returns (prices, kernel, utilities, revenue), Menu's field order.
-    """
+
+def _solve_deposit_family(kind: str, instance: Instance, labels, types, weights, ic_pairs,
+                          lo, hi) -> Menu:
+    """Solve the common LP (see _add_deposit_model), clean its kernel and
+    price the menu."""
     mu_w = instance.omega_marginal()
-    nw = len(instance.omega)
-    lp = LinearProgram(lp_name)
-    p, t = _add_deposit_model(lp, instance, menu, weights, ic_pairs, t_bounds)
+    lp = LinearProgram(_LP_NAMES[kind])
+    p, t, util = _add_deposit_model(lp, instance, types, weights, ic_pairs, lo, hi)
     sol = lp.solve()
-    entry_util = instance.utility[:, [ti for ti, _ in menu], :].transpose(1, 0, 2)
-    kernel = _clean_kernel(sol.values[p], np.broadcast_to(mu_w, (len(menu), nw)), entry_util)
+    kernel = _clean_kernel(sol.values[p], np.broadcast_to(mu_w, (len(types), len(mu_w))), util)
     prices = sol.values[t].astype(float)
-    utilities = np.array([
-        float(np.einsum("w,wa,wa->", mu_w, kernel[i], entry_util[i])) - prices[i]
-        for i in range(len(menu))])
-    return prices, kernel, utilities, float(weights @ prices)
-
-
-def _deposit_menu(prior: Instance | PriorView):
-    """Positive (type, budget) pairs as (theta index, budget) with their weights."""
-    view = prior_view(prior)
-    return [(ti, view.instance.budgets[bi]) for ti, bi in view.index], view.weights
+    return Menu(kind, labels, prices, kernel,
+                np.einsum("w,iwa,iwa->i", mu_w, kernel, util) - prices, float(weights @ prices))
 
 
 def solve_cm_depr(instance: Instance) -> Menu:
@@ -325,15 +304,10 @@ def solve_cm_depr(instance: Instance) -> Menu:
     """
     _require_independent(instance, "solve_cm_depr")
     view = prior_view(instance)
-    menu, weights = _deposit_menu(view)
-    M = instance.seller_budget
-    ic_pairs = [(i, j)
-                for i, (_, b) in enumerate(menu)
-                for j, (_, b2) in enumerate(menu)
-                if j != i and b2 <= b]
-    t_bounds = [(-M, b) for _, b in menu]
-    return Menu("depr", _menu_labels(view), *_solve_deposit_family(
-        instance, menu, weights, ic_pairs, t_bounds, "deposit-return"))
+    types, b, _ = _pair_arrays(view)
+    ic_pairs = np.argwhere((b[None, :] <= b[:, None]) & ~np.eye(len(b), dtype=bool))
+    return _solve_deposit_family("depr", instance, _menu_labels(view), types, view.weights,
+                                 ic_pairs, -instance.seller_budget, b)
 
 
 def solve_cm_dirp(instance: Instance, public_budget: float) -> Menu:
@@ -348,18 +322,16 @@ def solve_cm_dirp(instance: Instance, public_budget: float) -> Menu:
     if not (np.isfinite(public_budget) and public_budget >= 0):
         raise InputError("public budget must be finite and nonnegative")
     theta_weights = instance.theta_marginal()
-    menu_thetas = [ti for ti in range(len(instance.theta)) if theta_weights[ti] > PROB_TOL]
-    menu = [(ti, float(public_budget)) for ti in menu_thetas]
-    ic_pairs = [(i, j) for i in range(len(menu)) for j in range(len(menu)) if j != i]
+    types = np.flatnonzero(theta_weights > PROB_TOL)
     lowest = np.argmax(instance.type_marginal() > PROB_TOL, axis=1)
-    t_bounds = [(-instance.seller_budget, min(public_budget, instance.budgets[lowest[ti]]))
-                for ti in menu_thetas]
-    return Menu("dirp", tuple((instance.theta[ti], b) for ti, b in menu),
-                *_solve_deposit_family(instance, menu, theta_weights[menu_thetas],
-                                       ic_pairs, t_bounds, "direct-payment"))
+    hi = np.minimum(public_budget, np.array(instance.budgets, dtype=float)[lowest[types]])
+    labels = tuple((instance.theta[ti], float(public_budget)) for ti in types)
+    return _solve_deposit_family("dirp", instance, labels, types, theta_weights[types],
+                                 np.argwhere(~np.eye(len(types), dtype=bool)),
+                                 -instance.seller_budget, hi)
 
 
-def _affordability_pattern(instance: Instance, menu, weights) -> list[int]:
+def _affordability_pattern(instance: Instance, types, b, weights) -> np.ndarray:
     """Each menu item's cutoff (the index of the lowest budget level that can
     afford it) in a revenue-optimal single-round menu, from one
     mixed-integer program.
@@ -376,18 +348,17 @@ def _affordability_pattern(instance: Instance, menu, weights) -> list[int]:
     M, util = instance.seller_budget, instance.utility
     big = float(util.max() - util.min()) + levels[-1] + M + 1.0
     floors = np.append(-M, levels[:-1] + 1e-7)
-    m = len(menu)
-    b = np.array([bj for _, bj in menu])
+    m = len(types)
     own = levels <= b[:, None]                       # the levels item j may pick
 
     lp = LinearProgram("single-round-pattern")
     y = np.full(own.shape, -1)
     y[own] = lp.add_block("y", int(own.sum()), 0.0, 1.0, integer=True)
-    ic_pairs = [(i, j) for i in range(m) for j in range(m) if j != i]
-    i, j = np.array(ic_pairs, dtype=int).reshape(-1, 2).T
+    ic_pairs = np.argwhere(~np.eye(m, dtype=bool))
+    i, j = ic_pairs.T
     relax = np.where(levels > b[i][:, None], y[j], -1)
-    _, t = _add_deposit_model(lp, instance, menu, weights, ic_pairs,
-                              [(-M, bj) for bj in b], (relax, np.full(relax.shape, big)))
+    _, t, _ = _add_deposit_model(lp, instance, types, weights, ic_pairs, -M, b,
+                                 (relax, np.full(relax.shape, big)))
     lp.add_rows("pick", y, 1.0, "==", 1.0)
     price = _join((m,), t[:, None], y)
     _add_interleaved(lp, "price",
@@ -398,7 +369,7 @@ def _affordability_pattern(instance: Instance, menu, weights) -> list[int]:
     # level within the integrality tolerance belongs to that level, whatever
     # y says
     below = ~affordable(sol.values[t][:, None], levels)
-    return np.minimum(below.sum(axis=1), own.sum(axis=1) - 1).tolist()
+    return np.minimum(below.sum(axis=1), own.sum(axis=1) - 1)
 
 
 def solve_single_round(instance: Instance) -> Menu:
@@ -416,18 +387,17 @@ def solve_single_round(instance: Instance) -> Menu:
     """
     _require_independent(instance, "solve_single_round")
     view = prior_view(instance)
-    menu, weights = _deposit_menu(view)
-    levels = instance.budgets
+    types, b, _ = _pair_arrays(view)
+    levels = np.array(instance.budgets)
     try:
-        cutoffs = _affordability_pattern(instance, menu, weights)
+        cutoffs = _affordability_pattern(instance, types, b, view.weights)
         # the pattern program's own price boxes: a price sits more than 1e-9
         # above every budget level the pattern leaves unable to afford it
-        t_bounds = [(levels[k - 1] + 1e-7 if k else -instance.seller_budget, levels[k])
-                    for k in cutoffs]
-        ic_pairs = [(i, j) for i, (_, b) in enumerate(menu) for j in range(len(menu))
-                    if j != i and levels[cutoffs[j]] <= b]
-        return Menu("single-round", _menu_labels(view), *_solve_deposit_family(
-            instance, menu, weights, ic_pairs, t_bounds, "single-round"))
+        lo = np.where(cutoffs > 0, levels[cutoffs - 1] + 1e-7, -instance.seller_budget)
+        ic_pairs = np.argwhere((levels[cutoffs][None, :] <= b[:, None])
+                               & ~np.eye(len(b), dtype=bool))
+        return _solve_deposit_family("single-round", instance, _menu_labels(view), types,
+                                     view.weights, ic_pairs, lo, levels[cutoffs])
     except SolverFailure as exc:
         if exc.status != INFEASIBLE:
             raise
@@ -439,27 +409,24 @@ def solve_single_round(instance: Instance) -> Menu:
 # ---------------------------------------------------------------------------
 
 
-def build_prob_return_lp(utility: np.ndarray, menu_types: list[tuple[int, float]],
-                         cond: np.ndarray, joint: np.ndarray, seller_budget: float,
-                         eps: float = 0.0):
+def build_prob_return_lp(util: np.ndarray, b: np.ndarray, cond: np.ndarray,
+                         joint: np.ndarray, seller_budget: float, eps: float = 0.0):
     """Assemble the probabilistic-return LP for given belief data.
 
-    menu_types: list of (theta index, budget value) entries.
+    util[i]:    (n_omega, n_actions) utility rows of the i-th entry's type.
+    b[i]:       the i-th entry's budget, its deposit.
     cond[i]:    belief over states the i-th entry's buyer holds.
     joint[i,w]: weight placed on (state w, entry i) by the revenue objective.
     eps:        slack applied to the truthfulness / participation /
                 recommendation-following rows (0 = exact program).
 
     Returns (lp, p) with p the kernel's column ids, shaped
-    (len(menu), n_omega, n_actions, 2): block 0 keeps the deposit, block 1
+    (len(b), n_omega, n_actions, 2): block 0 keeps the deposit, block 1
     refunds it plus M. Shared by the exact solver and the empirical-belief
     solver, which differ only in the belief data and eps.
     """
-    m = len(menu_types)
-    nw, na = utility.shape[0], utility.shape[2]
+    m, nw, na = util.shape
     M = seller_budget
-    b = np.array([bi for _, bi in menu_types], dtype=float)
-    util = utility[:, [ti for ti, _ in menu_types], :].transpose(1, 0, 2)   # (m, nw, na)
     lp = LinearProgram("prob-return")
 
     # p[..., 0] keeps the deposit ("+"), p[..., 1] returns it plus M ("-")
@@ -510,21 +477,19 @@ def solve_prob_return(view: PriorView, M: float, eps: float = 0.0) -> Menu:
     truthful utility under its own belief and the joint-weighted revenue.
     The menu is the view's index; its instance supplies utilities and labels.
     """
-    shape, cond, joint = view.instance, view.beliefs, view.joint
-    menu = [(ti, float(shape.budgets[bi])) for ti, bi in view.index]
-    lp, p = build_prob_return_lp(shape.utility, menu, cond, joint, M, eps=eps)
+    cond, joint = view.beliefs, view.joint
+    _, b, util = _pair_arrays(view)
+    lp, p = build_prob_return_lp(util, b, cond, joint, M, eps=eps)
     rows = lp.solve().values[p].transpose(0, 1, 3, 2).reshape(*p.shape[:2], 2 * p.shape[2])
-    util = shape.utility[:, [ti for ti, _ in menu], :].transpose(1, 0, 2)
     kernel = _clean_kernel(rows, cond, util)
     pay, refund = np.split(kernel, 2, axis=-1)
-    utilities = np.array([
-        float(np.einsum("w,wa->", cond[i], pay[i] * (util[i] - b))
-              + np.einsum("w,wa->", cond[i], refund[i] * (util[i] + M)))
-        for i, (_, b) in enumerate(menu)])
-    revenue = sum(float(np.einsum("w,wa->", joint[i], b * pay[i] - M * refund[i]))
-                  for i, (_, b) in enumerate(menu))
-    return Menu("probr", _menu_labels(view), np.array([b for _, b in menu]), kernel,
-                utilities, float(revenue), float(M))
+    utilities = (np.einsum("iw,iwa->i", cond, pay * (util - b[:, None, None]))
+                 + np.einsum("iw,iwa->i", cond, refund * (util + M)))
+    # entry by entry, summed in menu order: one sum over every entry would
+    # round differently
+    taken = np.einsum("iw,iwa->i", joint, b[:, None, None] * pay - M * refund)
+    return Menu("probr", _menu_labels(view), b, kernel, utilities,
+                float(sum(taken.tolist())), float(M))
 
 
 def solve_cm_probr(instance: Instance) -> Menu:
@@ -675,21 +640,19 @@ def replicate_as_prob_return(mech: Menu, seller_budget: float) -> Menu:
     exactly its original price, for every belief, so the conversion
     preserves truthfulness, participation, and revenue identically.
     """
-    M = seller_budget
-    lams = []
-    for i, (th, b) in enumerate(mech.menu):
-        if len(mech.blocks(i)) != 1:
-            raise InputError("only a menu with one price per entry can be replicated")
-        denom = b + M
-        # b = M = 0 forces t = 0; all-refund nets zero too
-        lam = (float(mech.payments[i]) + M) / denom if denom > 0 else 0.0
-        if not -1e-9 <= lam <= 1 + 1e-9:
-            raise InputError(
-                f"price {mech.payments[i]:g} outside [-M, b] for menu entry "
-                f"({th!r}, {b:g}); cannot replicate")
-        lams.append(min(max(lam, 0.0), 1.0))
-    lam = np.array(lams)[:, None, None]
-    return Menu("probr", mech.menu, np.array([float(b) for _, b in mech.menu]),
+    if mech.kind == "probr":
+        raise InputError("only a menu with one price per entry can be replicated")
+    M, b = seller_budget, np.array([lv for _, lv in mech.menu], dtype=float)
+    denom = b + M
+    # b = M = 0 forces t = 0; all-refund nets zero too
+    lam = np.where(denom > 0, (mech.payments + M) / np.where(denom > 0, denom, 1.0), 0.0)
+    bad = ~((lam >= -1e-9) & (lam <= 1 + 1e-9))                        # NaN is bad too
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise InputError(f"price {mech.payments[k]:g} outside [-M, b] for menu entry "
+                         f"({mech.menu[k][0]!r}, {b[k]:g}); cannot replicate")
+    lam = np.clip(lam, 0.0, 1.0)[:, None, None]
+    return Menu("probr", mech.menu, b,
                 np.concatenate([lam * mech.kernel, (1.0 - lam) * mech.kernel], axis=-1),
                 mech.utilities.copy(), mech.revenue, M)
 

@@ -119,20 +119,6 @@ class PriorView:
     joint: np.ndarray
     beliefs: np.ndarray
 
-    def pairs(self) -> list[tuple[int, int]]:
-        return list(self.index)
-
-    def weight(self, ti: int, bi: int) -> float:
-        """A pair's revenue weight; 0 for a pair outside the index."""
-        if (ti, bi) not in self.index:
-            return 0.0
-        return float(self.weights[self.index.index((ti, bi))])
-
-    def belief(self, ti: int, bi: int) -> np.ndarray:
-        if (ti, bi) not in self.index:
-            raise InputError(f"pair ({ti}, {bi}) has no weight in this prior")
-        return self.beliefs[self.index.index((ti, bi))].copy()
-
 
 def prior_view(prior: Instance | PriorView) -> PriorView:
     """A PriorView unchanged, or an Instance's true prior as one."""

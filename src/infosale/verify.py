@@ -8,7 +8,8 @@ estimate. Every check but the budget check reads one value table,
 mechanisms.menu_values: truthfulness, participation and obedience are
 masked minima over it (the first minimum in (pair, cell) order decides, or
 the first NaN), and the revenue cap is a sum over it. verify_all builds
-the table once, and these checks also accept it in place of the prior.
+the table once, and it and these checks also accept the table in place of
+the prior.
 
 Conventions: slack is (left side − right side) of the defining inequality,
 so negative slack means violation; a check at slack s passes when
@@ -144,7 +145,7 @@ def check_obedience(mechanism: Menu, prior: Instance | PriorView | MenuValues,
         aggregate = eps > 0
     table = _table(mechanism, prior)
     mass = table.rec_mass
-    rec = mass > REC_PROB_FLOOR
+    rec = ~(mass <= REC_PROB_FLOOR)             # a NaN mass counts, and fails
     with np.errstate(divide="ignore", invalid="ignore"):
         ob, dev = table.rec_obedient / mass, table.rec_best / mass
     if aggregate:
@@ -190,12 +191,12 @@ def check_revenue_cap(mechanism: Menu, prior: Instance | PriorView | MenuValues,
         f"revenue {revenue:.6g} vs cap {cap:.6g}", 0.0, tol)])
 
 
-def verify_all(mechanism: Menu, prior: Instance | PriorView, eps: float = 0.0,
+def verify_all(mechanism: Menu, prior: Instance | PriorView | MenuValues, eps: float = 0.0,
                tol: float | None = None) -> VerificationReport:
     """All checks against one prior, from one value table; composite passes
     iff every check does."""
     tol = _tol(tol)
-    table = menu_values(mechanism, prior)
+    table = _table(mechanism, prior)
     report = VerificationReport()
     for check in (check_ic, check_ir, check_obedience):
         report.checks += check(mechanism, table, eps, tol).checks

@@ -1,10 +1,12 @@
+import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from infosale import (PreconditionError, buyer_utility, expected_revenue,
+from infosale import (InputError, PreconditionError, buyer_utility, expected_revenue,
                       full_revelation_menu, is_independent, load_instance,
                       mechanism_from_json_dict, mechanism_to_json_dict,
                       replicate_as_prob_return, revenue_cap, solve_cm_depr,
@@ -32,7 +34,8 @@ def test_probr_matches_depr_on_box(box):
     assert mech.revenue == pytest.approx(45.0, abs=1e-6)
     # kernels are measures: pay block + refund block sum to one per row
     for j in range(len(mech.menu)):
-        total = mech.kernel_pay[j].sum(axis=1) + mech.kernel_refund[j].sum(axis=1)
+        na = mech.kernel.shape[-1] // 2
+        total = mech.kernel[j, :, :na].sum(axis=1) + mech.kernel[j, :, na:].sum(axis=1)
         assert np.allclose(total, 1.0, atol=1e-8)
     assert expected_revenue(mech, box) == pytest.approx(mech.revenue, abs=1e-9)
 
@@ -172,6 +175,18 @@ def test_replication_preserves_box_revenue(box):
     rep = replicate_as_prob_return(depr, box.seller_budget)
     assert rep.revenue == pytest.approx(depr.revenue, abs=1e-9)
     assert expected_revenue(rep, box) == pytest.approx(45.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("prices, bad", [([50.0, np.nan], 1), ([50.0, 120.0], 1),
+                                         ([-2000.0, np.nan], 0)])
+def test_replication_names_the_first_price_outside_its_box(box, prices, bad):
+    depr = solve_cm_depr(box)
+    th, b = depr.menu[bad]
+    with pytest.raises(InputError, match=re.escape(f"menu entry ({th!r}, {b:g})")):
+        replicate_as_prob_return(dataclasses.replace(depr, payments=np.array(prices)),
+                                 box.seller_budget)
+    with pytest.raises(InputError, match="one price per entry"):
+        replicate_as_prob_return(solve_cm_probr(box), box.seller_budget)
 
 
 def test_replication_lower_bounds_probr(rng):

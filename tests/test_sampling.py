@@ -48,15 +48,12 @@ def test_empirical_prior_estimates(box):
     oracle = InstanceOracle(box, np.random.default_rng(1))
     emp = draw_samples(oracle, 20000, LIVE, box)
     assert emp.n == 20000
-    assert [tuple(p) for p in emp.pairs()] == [(0, 0), (1, 1)]
-    assert sum(emp.weight(ti, bi) for ti, bi in emp.pairs()) == pytest.approx(1.0)
-    for ti, bi in emp.pairs():
-        belief = emp.belief(ti, bi)
+    assert emp.index == ((0, 0), (1, 1))
+    assert emp.weights.sum() == pytest.approx(1.0)
+    for belief in emp.beliefs:
         assert belief.sum() == pytest.approx(1.0)
         assert np.all(belief >= 0)
         assert np.allclose(belief, [0.5, 0.5], atol=0.03)
-    with pytest.raises(InputError):
-        emp.belief(0, 1)  # never-sampled pair
 
 
 def test_draw_samples_needs_positive_n(box):

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis.strategies import integers
 
-from infosale import (PreconditionError, lpcore, SolverFailure, revenue_cap,
+from infosale import (PreconditionError, lpcore, prior_view, SolverFailure, revenue_cap,
                       solve_single_round, verify_all)
-from infosale.mechanisms import _deposit_menu, _solve_deposit_family
+from infosale.mechanisms import _menu_labels, _solve_deposit_family
 from infosale.random_instances import random_independent_instance
 
 
@@ -25,7 +25,9 @@ def reference_single_round(instance):
     ignored gain nothing by grabbing it; otherwise the box is lifted 1e-7
     off that level and the pattern solved once more.
     """
-    menu, weights = _deposit_menu(instance)
+    view = prior_view(instance)
+    menu, weights = [(ti, instance.budgets[bi]) for ti, bi in view.index], view.weights
+    types = np.array([ti for ti, _ in menu])
     levels = instance.budgets
     M = instance.seller_budget
     mu_w = instance.omega_marginal()
@@ -56,13 +58,14 @@ def reference_single_round(instance):
             t_bounds = [(floors[j] + (nudge if floors[j] > -M else 0.0), pattern[j])
                         for j in range(len(menu))]
             try:
-                prices, kernel, utilities, revenue = _solve_deposit_family(
-                    instance, menu, weights, ic_pairs, t_bounds, "single-round")
+                mech = _solve_deposit_family(
+                    "single-round", instance, _menu_labels(view), types, weights,
+                    np.array(ic_pairs, dtype=int).reshape(-1, 2), *np.array(t_bounds).T)
             except SolverFailure:
                 break
-            if honest(prices, kernel, utilities, skipped):
-                if best is None or revenue > best + 1e-12:
-                    best = revenue
+            if honest(mech.payments, mech.kernel, mech.utilities, skipped):
+                if best is None or mech.revenue > best + 1e-12:
+                    best = mech.revenue
                 break
     if best is None:
         raise PreconditionError("no affordability pattern is feasible")
@@ -70,8 +73,8 @@ def reference_single_round(instance):
 
 
 def n_patterns(instance):
-    menu, _ = _deposit_menu(instance)
-    return int(np.prod([sum(lv <= b for lv in instance.budgets) for _, b in menu]))
+    budgets = [instance.budgets[bi] for _, bi in prior_view(instance).index]
+    return int(np.prod([sum(lv <= b for lv in instance.budgets) for b in budgets]))
 
 
 @given(integers(min_value=0, max_value=10 ** 6))

@@ -129,6 +129,17 @@ def test_nan_fails_verification(hand, box):
     assert not check_budget(priced(hand, [50.0, np.nan]), box.seller_budget).passed
 
 
+def test_a_nan_recommendation_fails_obedience(hand, box):
+    # a NaN recommendation mass is a recommendation, not one too rare to
+    # have a posterior
+    kernel = hand.kernel.copy()
+    kernel[1, 0, 0] = np.nan
+    for aggregate in (False, True):
+        result = check_obedience(dataclasses.replace(hand, kernel=kernel), box,
+                                 aggregate=aggregate).checks[0]
+        assert not result.passed and np.isnan(result.worst_slack)
+
+
 def test_a_type_must_afford_its_own_entry(box):
     # a direct-payment menu priced by hand at 60 for type 0, above its only
     # budget of 50: its own entry is not one the menu serves
@@ -169,7 +180,7 @@ def reference_checks(mech, prior, eps=0.0, aggregate=None):
                 dev_val = float(max(v @ uth[:, a2] for a2 in range(na)))
                 obedient += ob_val - transfer * mass
                 best += dev_val - transfer * mass
-                if mass > REC_PROB_FLOOR:
+                if not mass <= REC_PROB_FLOOR:
                     label = inst.actions[a] if sign is None else f"({inst.actions[a]},{sign})"
                     rows.append((label, mass, ob_val / mass, dev_val / mass))
         return obedient, best, rows
@@ -297,6 +308,7 @@ def test_table_checks_equal_the_loop_on_degenerate_menus(box, hand):
             outcome = {c: got[c].worst_slack for c in got}
             if name == "nan kernel":
                 assert np.isnan(outcome["ic"]) and np.isnan(outcome["ir"]), outcome
+                assert np.isnan(outcome["obedience"]), outcome
             if name == "below the floor":
                 assert got["obedience"].passed, outcome
             if name in ("missing", "unaffordable", "both unaffordable"):
