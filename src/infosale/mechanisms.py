@@ -209,6 +209,14 @@ def _menu_labels(view: PriorView) -> tuple[tuple[str, float], ...]:
     return tuple((view.instance.theta[ti], view.instance.budgets[bi]) for ti, bi in view.index)
 
 
+def _pair_arrays(view: PriorView):
+    """(type index, budget, (P, n_omega, n_actions) utility rows) of the
+    view's pairs: the arrays every solver, table and bound reads."""
+    ti, bi = np.array(view.index, dtype=int).reshape(-1, 2).T
+    inst = view.instance
+    return ti, np.array(inst.budgets, dtype=float)[bi], inst.utility[:, ti, :].transpose(1, 0, 2)
+
+
 # ---------------------------------------------------------------------------
 # deposit-return / direct-payment family (independent prior)
 # ---------------------------------------------------------------------------
@@ -507,14 +515,6 @@ def solve_cm_probr(instance: Instance) -> Menu:
 # ---------------------------------------------------------------------------
 # evaluation helpers
 # ---------------------------------------------------------------------------
-
-
-def _pair_arrays(view: PriorView):
-    """(type index, budget, (P, n_omega, n_actions) utility rows) of the
-    view's pairs."""
-    ti, bi = np.array(view.index, dtype=int).reshape(-1, 2).T
-    inst = view.instance
-    return ti, np.array(inst.budgets, dtype=float)[bi], inst.utility[:, ti, :].transpose(1, 0, 2)
 
 
 def _cap(weights, budget, informed, outside) -> float:
