@@ -9,15 +9,22 @@ solve() stacks the families' COO triples into sparse matrices, runs HiGHS
 integer), maps its status onto a small enum, and re-checks the returned
 point against every row, bound and integrality requirement with its own
 sparse products — a solution is never trusted on the solver's word alone.
+
+A family of inequality rows can be held back: HiGHS then starts from the
+family's start rows and, on one live model that keeps its basis, re-solves
+after adding the worst violated missing row along the family's pick axis,
+until no missing row is violated (Kelley's cutting-plane method, J. SIAM 8,
+1960). The re-check still covers every row, held back or not.
 """
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, vstack
 
 from .errors import SolverFailure
 
@@ -27,17 +34,38 @@ UNBOUNDED = "unbounded"
 
 # Max constraint violation tolerated in the independent re-check.
 FEAS_TOL = 1e-6
+# A held-back row joins the model once violated by more than this.
+CUT_TOL = 1e-9
 
 _SENSES = ("<=", ">=", "==")
 
 
 @dataclass
 class LPSolution:
-    """A solved program: values by column id plus the objective."""
+    """A solved program: values by column id plus the objective, and what
+    HiGHS did: `rounds` solves (1 unless rows were held back), over a model
+    of `rows` rows at the optimum."""
 
     values: np.ndarray
     objective: float
     status: str
+    rounds: int = 1
+    rows: int = 0
+
+
+def _live_model():
+    """scipy's bindings to one HiGHS model that keeps its basis between
+    solves, or None where this scipy has none (held-back rows then go to
+    linprog with the rest)."""
+    try:
+        return importlib.import_module("scipy.optimize._highspy._core")
+    except ImportError:
+        return None
+
+
+# what linprog(method="highs") sets: dual simplex after presolve, no output
+_HIGHS_OPTIONS = (("presolve", "on"), ("simplex_strategy", 1), ("output_flag", False),
+                  ("log_to_console", False))
 
 
 def _label(name: str, shape: tuple, flat: int) -> str:
@@ -61,8 +89,9 @@ class LinearProgram:
     name: str = "lp"
     maximize: bool = True
     # (name, shape, lb, ub, integer) per block; (name, shape, "ub" or "eq",
-    # cols, coefs, rhs) per family, cols and coefs (rows, terms) and >= rows
-    # negated into HiGHS's A_ub x <= b_ub
+    # cols, coefs, rhs, held) per family, cols and coefs (rows, terms), >= rows
+    # negated into HiGHS's A_ub x <= b_ub, and held None or a held-back
+    # family's (start mask, pick axis) over its row grid
     _blocks: list[tuple] = field(default_factory=list)
     _families: list[tuple] = field(default_factory=list)
     _objective: tuple[np.ndarray, np.ndarray] = (np.zeros(0, int), np.zeros(0))
@@ -82,21 +111,33 @@ class LinearProgram:
         self._n += ids.size
         return ids
 
-    def add_rows(self, name: str, cols, coefs, sense: str, rhs) -> None:
+    def add_rows(self, name: str, cols, coefs, sense: str, rhs, start=None,
+                 pick: int | None = None) -> None:
         """Add a family of rows sum_k coefs[..., k] * x[cols[..., k]] (sense) rhs.
 
         cols and coefs broadcast to (*rows, terms) and rhs to rows; a column
         id of -1 is no term, so rows of one family may differ in length. A
         row's name in the re-check is `name[index]` over that row grid.
+
+        A boolean `start` (broadcast to the row grid) holds an inequality
+        family back: solve() hands HiGHS only its start rows, then adds rows
+        one per line along the grid's `pick` axis, the worst violated one,
+        until none is violated. The start rows must keep the program bounded.
         """
         if sense not in _SENSES:
             raise ValueError(f"sense must be one of {_SENSES}, got {sense!r}")
         cols, coefs = np.broadcast_arrays(np.asarray(cols), np.asarray(coefs, dtype=float))
         shape, terms = cols.shape[:-1], cols.shape[-1]
+        held = None
+        if start is not None:
+            if sense == "==" or pick is None:
+                raise ValueError("only an inequality family with a pick axis can be held back")
+            held = np.broadcast_to(np.asarray(start, dtype=bool), shape), pick
         sign = -1.0 if sense == ">=" else 1.0
         self._families.append((name, shape, "eq" if sense == "==" else "ub",
                                cols.reshape(-1, terms), sign * coefs.reshape(-1, terms),
-                               sign * np.broadcast_to(np.asarray(rhs, dtype=float), shape).ravel()))
+                               sign * np.broadcast_to(np.asarray(rhs, dtype=float), shape).ravel(),
+                               held))
 
     def set_objective(self, cols, coefs, maximize: bool = True) -> None:
         """Objective sum coefs * x[cols]; a repeated column adds up."""
@@ -137,25 +178,100 @@ class LinearProgram:
         """
         lp = self._assemble()
         c = -lp["c"] if self.maximize else lp["c"]
-        if lp["integer"].any():
-            result = self._solve_mip(c, lp)
+        held = [] if lp["integer"].any() else self._held(lp)
+        core = _live_model() if held else None
+        if core is not None:
+            values, rounds, rows = self._solve_live(core, c, lp, held)
         else:
-            result = linprog(c, A_ub=lp["A_ub"], b_ub=lp["b_ub"], A_eq=lp["A_eq"],
-                             b_eq=lp["b_eq"], bounds=np.column_stack([lp["lb"], lp["ub"]]),
-                             method="highs")
-        if result.status == 2:
-            raise SolverFailure(f"{self.name}: program infeasible", status=INFEASIBLE)
-        if result.status == 3:
-            raise SolverFailure(f"{self.name}: program unbounded", status=UNBOUNDED)
-        if result.status != 0 or result.x is None:
-            raise SolverFailure(f"{self.name}: solver returned status "
-                                f"{result.status} ({result.message})")
-        values = np.asarray(result.x, dtype=float)
+            if lp["integer"].any():
+                result = self._solve_mip(c, lp)
+            else:
+                result = linprog(c, A_ub=lp["A_ub"], b_ub=lp["b_ub"], A_eq=lp["A_eq"],
+                                 b_eq=lp["b_eq"], bounds=np.column_stack([lp["lb"], lp["ub"]]),
+                                 method="highs")
+            if result.status == 2:
+                raise SolverFailure(f"{self.name}: program infeasible", status=INFEASIBLE)
+            if result.status == 3:
+                raise SolverFailure(f"{self.name}: program unbounded", status=UNBOUNDED)
+            if result.status != 0 or result.x is None:
+                raise SolverFailure(f"{self.name}: solver returned status "
+                                    f"{result.status} ({result.message})")
+            values, rounds = np.asarray(result.x, dtype=float), 1
+            rows = int(lp["ub_families"][1][-1] + lp["eq_families"][1][-1])
         worst, row_name = self._violation(values, lp)
         if worst > FEAS_TOL:
             raise SolverFailure(f"{self.name}: solver point violates {row_name!r} "
                                 f"by {worst:.3g} (> {FEAS_TOL:g})", status="recheck")
-        return LPSolution(values=values, objective=float(lp["c"] @ values), status=OPTIMAL)
+        return LPSolution(values=values, objective=float(lp["c"] @ values), status=OPTIMAL,
+                          rounds=rounds, rows=rows)
+
+    def _held(self, lp: dict) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per held-back family, its A_ub row ids and a copy of its start
+        mask, both (lines, pick) with the pick axis last."""
+        families = [f for f in self._families if f[2] == "ub"]
+        return [(np.moveaxis(first + np.arange(len(f[5])).reshape(f[1]), pick, -1)
+                 .reshape(-1, f[1][pick]),
+                 np.moveaxis(start, pick, -1).reshape(-1, f[1][pick]).copy())
+                for f, first in zip(families, lp["ub_families"][1]) if f[6] is not None
+                for start, pick in [f[6]]]
+
+    def _solve_live(self, core, c, lp: dict, held) -> tuple[np.ndarray, int, int]:
+        """Cutting-plane solve on one HiGHS model: every ordinary row and
+        the held-back families' start rows first; after each run, the worst
+        missing row of each line that is violated by more than CUT_TOL joins
+        the model and HiGHS resumes from its basis. Only missing rows join,
+        so the loop ends. Returns the point, the runs and the model's rows.
+        """
+        A_ub, b_ub = lp["A_ub"], lp["b_ub"]
+        missing = np.zeros(len(b_ub), dtype=bool)
+        for ids, start in held:
+            missing[ids[~start]] = True
+        parts = [(A_ub[~missing], np.full(int((~missing).sum()), -np.inf), b_ub[~missing])]
+        if lp["A_eq"] is not None:
+            parts.append((lp["A_eq"], lp["b_eq"], lp["b_eq"]))
+        A = vstack([a for a, _, _ in parts]).tocsc()
+        model = core.HighsLp()
+        model.num_col_ = model.a_matrix_.num_col_ = len(c)
+        model.num_row_ = model.a_matrix_.num_row_ = A.shape[0]
+        model.a_matrix_.format_ = core.MatrixFormat.kColwise
+        model.a_matrix_.start_, model.a_matrix_.index_, model.a_matrix_.value_ = (
+            A.indptr, A.indices, A.data)
+        model.col_cost_, model.col_lower_, model.col_upper_ = c, lp["lb"], lp["ub"]
+        model.row_lower_ = np.concatenate([lo for _, lo, _ in parts])
+        model.row_upper_ = np.concatenate([hi for _, _, hi in parts])
+        highs = core._Highs()
+        for option, value in _HIGHS_OPTIONS:
+            highs.setOptionValue(option, value)
+        highs.passModel(model)
+        cuts = [(A_ub[ids.ravel()], b_ub[ids.ravel()]) for ids, _ in held]
+        rounds = 0
+        while True:
+            highs.run()
+            rounds += 1
+            status = highs.getModelStatus()
+            # statuses as linprog maps them, but for an unbounded restricted
+            # program, which says nothing of the whole
+            if status in (core.HighsModelStatus.kInfeasible, core.HighsModelStatus.kModelError):
+                raise SolverFailure(f"{self.name}: program infeasible", status=INFEASIBLE)
+            if status != core.HighsModelStatus.kOptimal:
+                raise SolverFailure(f"{self.name}: solver returned status "
+                                    f"{highs.modelStatusToString(status)} on "
+                                    f"{highs.getNumRow()} of its rows")
+            x = np.asarray(highs.getSolution().col_value, dtype=float)
+            new = []
+            for (ids, in_model), (A_f, b_f) in zip(held, cuts):
+                gap = np.where(in_model, -np.inf, (A_f @ x - b_f).reshape(in_model.shape))
+                worst = gap.argmax(axis=1)
+                line = np.flatnonzero(gap[np.arange(len(gap)), worst] > CUT_TOL)
+                in_model[line, worst[line]] = True
+                new.append(ids[line, worst[line]])
+            new = np.concatenate(new)
+            if not len(new):
+                return x, rounds, highs.getNumRow()
+            rows = A_ub[new]
+            highs.addRows(len(new), np.full(len(new), -np.inf), b_ub[new], rows.nnz,
+                          rows.indptr[:-1].astype(np.int32), rows.indices.astype(np.int32),
+                          rows.data)
 
     @staticmethod
     def _solve_mip(c, lp: dict):

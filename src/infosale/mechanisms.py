@@ -417,6 +417,11 @@ def solve_single_round(instance: Instance) -> Menu:
 # ---------------------------------------------------------------------------
 
 
+# the largest menu whose probabilistic-return LP reaches HiGHS whole: 4 types
+# x 3 budgets, the most random_*_instance draws at its default maxima
+HOLD_BACK_ABOVE = 12
+
+
 def build_prob_return_lp(util: np.ndarray, b: np.ndarray, cond: np.ndarray,
                          joint: np.ndarray, seller_budget: float, eps: float = 0.0):
     """Assemble the probabilistic-return LP for given belief data.
@@ -431,7 +436,9 @@ def build_prob_return_lp(util: np.ndarray, b: np.ndarray, cond: np.ndarray,
     Returns (lp, p) with p the kernel's column ids, shaped
     (len(b), n_omega, n_actions, 2): block 0 keeps the deposit, block 1
     refunds it plus M. Shared by the exact solver and the empirical-belief
-    solver, which differ only in the belief data and eps.
+    solver, which differ only in the belief data and eps. Past
+    HOLD_BACK_ABOVE entries the deviation rows are held back (see
+    lpcore.LinearProgram.add_rows); the optimum is that of the whole program.
     """
     m, nw, na = util.shape
     M = seller_budget
@@ -473,9 +480,14 @@ def build_prob_return_lp(util: np.ndarray, b: np.ndarray, cond: np.ndarray,
     dev = -cond[pi][:, :, None, None] * np.stack(
         [util[pi] - b[pj][:, None, None], util[pi] + M], axis=-1)      # (pair, w, a2, block)
     grid = (len(pi), na, na, 2)                                         # (pair, a, a2, block)
+    # above HOLD_BACK_ABOVE entries the remap rows are held back: HiGHS starts
+    # from the obey rows (a2 = a), which bound every z from below, and gains
+    # the worst violated remap per (pair, a, block) each round
+    obey = np.eye(na, dtype=bool)[:, :, None] if m > HOLD_BACK_ABOVE else None
     lp.add_rows("zdef", _join(grid, z.transpose(0, 2, 1)[:, :, None, :, None],
                               p[pj].transpose(0, 2, 3, 1)[:, :, None]),
-                _join(grid, 1.0, dev.transpose(0, 2, 3, 1)[:, None]), ">=", 0.0)
+                _join(grid, 1.0, dev.transpose(0, 2, 3, 1)[:, None]), ">=", 0.0,
+                start=obey, pick=2)
     return lp, p
 
 

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -170,3 +172,71 @@ def test_rhs_broadcasts_and_repeated_objective_columns_add_up():
     assert sol.values[x[0]] == pytest.approx(1.0, abs=1e-9)
     assert sol.values[x[2]] == pytest.approx(3.0, abs=1e-9)
     assert lp.max_violation(np.array([1.0, 2.5, 3.0])) == (pytest.approx(0.5), "cap[1]")
+
+
+# -- held-back row families -------------------------------------------------
+
+
+def _held_toy(start):
+    # max 2x + y over [0, 10]^2 with rows over a (2, 3) grid, picked along
+    # axis 1: line 0 is x <= 8, x + y <= 9, 2x <= 10 and line 1 is y <= 8,
+    # y - x <= 2, 3y <= 18. From the start rows alone the optimum is (8, 8);
+    # x + y <= 9 and 3y <= 18 join, then 2x <= 10, and (5, 4) is optimal with
+    # both x + y <= 9 and 2x <= 10 binding
+    lp = LinearProgram("held")
+    x, y = lp.add_block("v", 2, 0.0, 10.0)
+    lp.add_rows("cap", [[[x, y], [x, y], [x, y]], [[x, y], [x, y], [x, y]]],
+                [[[1.0, 0.0], [1.0, 1.0], [2.0, 0.0]], [[0.0, 1.0], [-1.0, 1.0], [0.0, 3.0]]],
+                "<=", [[8.0, 9.0, 10.0], [8.0, 2.0, 18.0]], start=start, pick=1)
+    lp.set_objective([x, y], [2.0, 1.0])
+    return lp
+
+
+def test_held_back_rows_reach_the_whole_programs_optimum():
+    whole = _held_toy(None).solve()
+    sol = _held_toy([True, False, False]).solve()
+    assert whole.objective == pytest.approx(14.0, abs=1e-9)
+    assert sol.objective == pytest.approx(whole.objective, abs=1e-9)
+    assert np.allclose(sol.values, [5.0, 4.0], atol=1e-9)
+    assert (whole.rounds, whole.rows) == (1, 6)
+    assert (sol.rounds, sol.rows) == (3, 5)
+
+
+def test_recheck_covers_held_back_rows():
+    lp = _held_toy([True, False, False])
+    lp.solve()
+    worst, name = lp.max_violation(np.array([5.0, 4.5]))
+    assert (worst, name) == (pytest.approx(0.5), "cap[0,1]")
+
+
+def test_infeasible_start_rows_raise():
+    lp = LinearProgram("held-infeasible")
+    x = lp.add_block("x", (), 0.0, 1.0)
+    lp.add_rows("floor", [[x], [x]], 1.0, ">=", [2.0, 0.0], start=[True, False], pick=0)
+    lp.set_objective(x, 1.0)
+    with pytest.raises(SolverFailure) as failure:
+        lp.solve()
+    assert failure.value.status == lpcore.INFEASIBLE
+
+
+def test_only_inequalities_with_a_pick_axis_are_held_back():
+    lp = LinearProgram("held-bad")
+    x = lp.add_block("x", 2, 0.0, 1.0)
+    with pytest.raises(ValueError):
+        lp.add_rows("split", x[None], 1.0, "==", 1.0, start=[True], pick=0)
+    with pytest.raises(ValueError):
+        lp.add_rows("cap", x[None], 1.0, "<=", 1.0, start=[True])
+
+
+def test_held_back_rows_go_to_linprog_without_the_live_model(monkeypatch):
+    # a scipy without its HiGHS bindings: the family is solved whole
+    calls = []
+    linprog = lpcore.linprog
+    monkeypatch.setattr(lpcore, "linprog", lambda *a, **k: calls.append(1) or linprog(*a, **k))
+    sol = _held_toy([True, False, False]).solve()
+    assert calls == []
+    monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+    fallback = _held_toy([True, False, False]).solve()
+    assert calls == [1]
+    assert fallback.objective == pytest.approx(sol.objective, abs=1e-9)
+    assert (fallback.rounds, fallback.rows) == (1, 6)

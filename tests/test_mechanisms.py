@@ -6,13 +6,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from infosale import (InputError, PreconditionError, buyer_utility, expected_revenue,
-                      full_revelation_menu, is_independent, load_instance,
-                      mechanism_from_json_dict, mechanism_to_json_dict,
+from infosale import (InputError, InstanceOracle, PreconditionError, buyer_utility,
+                      certified_slack, check_ic, check_ir, check_obedience,
+                      draw_samples, expected_revenue, full_revelation_menu,
+                      is_independent, load_instance, mechanism_from_json_dict,
+                      mechanism_to_json_dict, mechanisms, prior_view,
                       replicate_as_prob_return, revenue_cap, solve_cm_depr,
-                      solve_cm_dirp, solve_cm_probr, solve_single_round,
-                      verify_all)
-from infosale.mechanisms import _clean_kernel
+                      solve_cm_dirp, solve_cm_probr, solve_epsilon_lp,
+                      solve_single_round, verify_all)
+from infosale.mechanisms import _clean_kernel, _pair_arrays, build_prob_return_lp
 from infosale.random_instances import (random_correlated_instance,
                                        random_independent_instance)
 
@@ -235,13 +237,17 @@ def test_dirp_equals_depr_at_one_budget_level(rng):
         assert abs(solve_cm_dirp(inst, b).revenue - solve_cm_depr(inst).revenue) <= 1e-7
 
 
+def _seed102():
+    path = Path(__file__).parent / "fixtures" / "probr_obedience_seed102.json"
+    return load_instance(json.loads(path.read_text()))
+
+
 def test_probr_rare_recommendation_is_obeyed():
     # the first (5, 5, 4, 3) instance of pass 5 of the probr-large benchmark
     # workload at seed 102 (M = 0): its LP optimum, exact only to HiGHS's
     # tolerance, recommends (a2, -) to (t4, 7.59767) so rarely that the
     # posterior regret reads -1.35e-5 per unit of probability
-    path = Path(__file__).parent / "fixtures" / "probr_obedience_seed102.json"
-    inst = load_instance(json.loads(path.read_text()))
+    inst = _seed102()
     assert verify_all(solve_cm_probr(inst), inst, eps=0.0, tol=1e-6).passed
 
 
@@ -265,3 +271,58 @@ def test_revenue_cap_is_never_negative():
     draws = [random_independent_instance(rng) for _ in range(118)]
     for k in (3, 117):
         assert revenue_cap(draws[k]) >= 0.0
+
+
+# -- held-back remap rows above 12 menu entries ----------------------------
+
+
+def _held_and_whole(solve):
+    """solve() as it runs, then with every program handed to HiGHS whole."""
+    held = solve()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mechanisms, "HOLD_BACK_ABOVE", 10**9)
+        return held, solve()
+
+
+def test_probr_lp_above_twelve_entries_holds_its_remap_rows_back():
+    inst = _seed102()
+    view = prior_view(inst)
+    _, b, util = _pair_arrays(view)
+    held, whole = _held_and_whole(lambda: build_prob_return_lp(
+        util, b, view.beliefs, view.joint, inst.seller_budget)[0].solve())
+    m, _, na = util.shape
+    zdef = np.count_nonzero(b[None, :] <= b[:, None] + 1e-12) * na * na * 2
+    assert m == 15
+    assert held.rounds > 1 and whole.rounds == 1
+    assert held.rows <= whole.rows - zdef / 2
+    assert held.objective == pytest.approx(whole.objective, abs=1e-6)
+
+
+def test_held_back_probr_agrees_with_the_whole_program():
+    rng = np.random.default_rng(20261019)
+    cases = [_seed102()]
+    while len(cases) < 11:
+        inst = random_correlated_instance(rng, max_types=5)
+        if len(prior_view(inst).index) > 12:
+            cases.append(inst)
+    for inst in cases:
+        held, whole = _held_and_whole(lambda: solve_cm_probr(inst))
+        assert abs(held.revenue - whole.revenue) <= 1e-6
+        for mech in (held, whole):
+            assert verify_all(mech, inst, eps=0.0, tol=1e-6).passed
+
+
+def test_held_back_epsilon_lp_agrees_with_the_whole_program():
+    rng = np.random.default_rng(20261020)
+    inst = next(inst for inst in iter(lambda: random_correlated_instance(rng, max_types=5), None)
+                if len(prior_view(inst).index) > 12)
+    live = (inst.theta[0], inst.omega[0], inst.budgets[0])
+    emp = draw_samples(InstanceOracle(inst, rng), 5000, live, inst)
+    assert len(emp.index) > 12
+    held, whole = _held_and_whole(lambda: solve_epsilon_lp(emp, inst, inst.seller_budget, 0.05))
+    assert abs(held.revenue - whole.revenue) <= 1e-6
+    slack = certified_slack(0.05)
+    for mech in (held, whole):
+        assert check_obedience(mech, emp, eps=slack["obedience"], tol=1e-6).passed
+        assert check_ic(mech, emp, eps=slack["ic"], tol=1e-6).passed
+        assert check_ir(mech, emp, eps=slack["ir"], tol=1e-6).passed

@@ -1,8 +1,10 @@
 """Smoke runs of the example scripts: each finishes and exits 0."""
 
+import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -20,3 +22,17 @@ def test_script_runs(argv):
     done = subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
                           capture_output=True, text=True, env=env, timeout=300)
     assert done.returncode == 0, done.stderr
+
+
+def test_capacity_ladder_runs_its_first_rung():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "capacity_ladder.py"),
+                           "--budget-s", "60", "--seed", "1", "--rungs", "1"],
+                          capture_output=True, text=True, env=env, timeout=300)
+    elapsed = time.perf_counter() - start
+    assert done.returncode == 0, done.stderr
+    (rung,) = json.loads(done.stdout)["rungs"]
+    assert rung["size"] == [4, 4, 4, 3] and rung["verdicts"] == ["pass"] * 3
+    assert rung["rows"] > 0 and rung["median_s"] < 60
+    assert elapsed < 5
