@@ -3,7 +3,7 @@ solve_cm_probr finishes within a time budget.
 
 The ladder walks fixed (states, types, actions, budgets) sizes, solving 3
 seeded correlated draws of perfbench's exact_instance per rung, each in a
-child process stopped at the budget. It stops after the first rung whose
+child process stopped soon after the budget. It stops after the first rung whose
 median time exceeds the budget and prints one JSON object: the commit of
 the infosale its children import, the host, and per rung the median seconds, the
 whole LP's rows, columns and nonzeros and each draw's verify_all verdict.
@@ -26,10 +26,13 @@ from pathlib import Path
 RUNGS = ((4, 4, 4, 3), (5, 5, 5, 3), (6, 6, 5, 4), (7, 7, 5, 4), (8, 8, 6, 4),
          (10, 10, 6, 5), (10, 12, 8, 5), (12, 12, 8, 6))
 DRAWS = 3
+CHILD_ALLOWANCE_S = 10.0
 
 
-def solve_one(size, seed: int, draw: int) -> dict:
-    """Solve one draw in this process: its seconds, whole-LP size and verdict.
+def solve_one(size, seed: int, draw: int) -> None:
+    """Solve one draw in this process. Prints two JSON lines: the whole LP's
+    size (first, so that a child stopped at the budget still reports it),
+    then the solve's seconds and verify_all verdict.
 
     Only the children import the library, so the ladder itself starts fast.
     """
@@ -41,33 +44,42 @@ def solve_one(size, seed: int, draw: int) -> dict:
     from workloads import exact_instance
 
     inst = exact_instance(np.random.default_rng([seed, draw, *size]), size, correlated=True)
-    start = time.perf_counter()
-    mech = solve_cm_probr(inst)
-    seconds = time.perf_counter() - start
-    report = verify_all(mech, inst, eps=0.0, tol=1e-6)
     view = prior_view(inst)
     _, b, util = _pair_arrays(view)
     whole = build_prob_return_lp(util, b, view.beliefs, view.joint,
                                  inst.seller_budget)[0]._assemble()
     matrices = [whole[k] for k in ("A_ub", "A_eq") if whole[k] is not None]
-    return {"seconds": seconds, "entries": len(view.index),
-            "rows": sum(a.shape[0] for a in matrices), "cols": len(whole["c"]),
-            "nnz": sum(a.nnz for a in matrices),
-            "verdict": "pass" if report.passed else
-                       "fail: " + ", ".join(c.name for c in report.checks if not c.passed)}
+    print(json.dumps({"entries": len(view.index), "rows": sum(a.shape[0] for a in matrices),
+                      "cols": len(whole["c"]), "nnz": sum(a.nnz for a in matrices)}), flush=True)
+    start = time.perf_counter()
+    mech = solve_cm_probr(inst)
+    seconds = time.perf_counter() - start
+    report = verify_all(mech, inst, eps=0.0, tol=1e-6)
+    print(json.dumps({"seconds": seconds, "verdict": "pass" if report.passed else "fail: " + ", ".join(
+        c.name for c in report.checks if not c.passed)}))
 
 
 def _child(size, seed: int, draw: int, budget: float) -> dict:
+    """One draw in a child process, stopped after the budget plus
+    CHILD_ALLOWANCE_S for its import, assembly and verification."""
     argv = [sys.executable, __file__, "--solve", ",".join(map(str, size)),
             "--seed", str(seed), "--draw", str(draw)]
     try:
-        done = subprocess.run(argv, capture_output=True, text=True, timeout=budget)
-    except subprocess.TimeoutExpired:
-        return {"seconds": None, "verdict": f"timeout after {budget:g} s"}
-    if done.returncode != 0:
-        lines = done.stderr.strip().splitlines() or ["no output"]
-        return {"seconds": None, "verdict": f"error: {lines[-1]}"}
-    return json.loads(done.stdout)
+        done = subprocess.run(argv, capture_output=True, text=True,
+                              timeout=budget + CHILD_ALLOWANCE_S)
+        stdout = done.stdout
+        verdict = None if done.returncode == 0 else "error: " + (
+            done.stderr.strip().splitlines() or ["no output"])[-1]
+    except subprocess.TimeoutExpired as stopped:
+        stdout = stopped.stdout or ""
+        stdout = stdout.decode() if isinstance(stdout, bytes) else stdout
+        verdict = f"stopped after {budget + CHILD_ALLOWANCE_S:g} s"
+    out = {"seconds": None}
+    for line in stdout.splitlines():
+        out.update(json.loads(line))
+    if verdict:
+        out["verdict"] = verdict
+    return out
 
 
 def _commit() -> str | None:
@@ -95,11 +107,10 @@ def ladder(budget: float, seed: int, rungs: int) -> dict:
         seconds = [d["seconds"] if d["seconds"] is not None else float("inf") for d in draws]
         seconds += [float("inf")] * (DRAWS - len(draws))
         median = statistics.median(seconds)
-        sizes = next((d for d in draws if "rows" in d), {})
-        out.append({"size": list(size), "entries": sizes.get("entries"),
+        out.append({"size": list(size),
+                    **{k: draws[0].get(k) for k in ("entries", "rows", "cols", "nnz")},
                     "median_s": median if median != float("inf") else None,
-                    "rows": sizes.get("rows"), "cols": sizes.get("cols"),
-                    "nnz": sizes.get("nnz"), "seconds": [d["seconds"] for d in draws],
+                    "seconds": [d["seconds"] for d in draws],
                     "verdicts": [d["verdict"] for d in draws]})
         if median > budget:
             break
@@ -123,8 +134,7 @@ def main() -> None:
     parser.add_argument("--draw", type=int, default=0, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.solve:
-        size = tuple(int(k) for k in args.solve.split(","))
-        print(json.dumps(solve_one(size, args.seed, args.draw)))
+        solve_one(tuple(int(k) for k in args.solve.split(",")), args.seed, args.draw)
     else:
         print(json.dumps(ladder(args.budget_s, args.seed, args.rungs), indent=1))
 

@@ -314,8 +314,9 @@ def test_held_back_probr_agrees_with_the_whole_program():
 
 def test_held_back_epsilon_lp_agrees_with_the_whole_program():
     rng = np.random.default_rng(20261020)
-    inst = next(inst for inst in iter(lambda: random_correlated_instance(rng, max_types=5), None)
-                if len(prior_view(inst).index) > 12)
+    inst = random_correlated_instance(rng, max_types=5)
+    while len(prior_view(inst).index) <= 12:
+        inst = random_correlated_instance(rng, max_types=5)
     live = (inst.theta[0], inst.omega[0], inst.budgets[0])
     emp = draw_samples(InstanceOracle(inst, rng), 5000, live, inst)
     assert len(emp.index) > 12
