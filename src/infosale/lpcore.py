@@ -49,8 +49,8 @@ class LPSolution:
     values: np.ndarray
     objective: float
     status: str
-    rounds: int = 1
-    rows: int = 0
+    rounds: int
+    rows: int
 
 
 def _live_model():
@@ -208,12 +208,15 @@ class LinearProgram:
     def _held(self, lp: dict) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per held-back family, its A_ub row ids and a copy of its start
         mask, both (lines, pick) with the pick axis last."""
+        held = []
         families = [f for f in self._families if f[2] == "ub"]
-        return [(np.moveaxis(first + np.arange(len(f[5])).reshape(f[1]), pick, -1)
-                 .reshape(-1, f[1][pick]),
-                 np.moveaxis(start, pick, -1).reshape(-1, f[1][pick]).copy())
-                for f, first in zip(families, lp["ub_families"][1]) if f[6] is not None
-                for start, pick in [f[6]]]
+        for (_, shape, _, _, _, rhs, hold), first in zip(families, lp["ub_families"][1]):
+            if hold is not None:
+                start, pick = hold
+                ids = first + np.arange(len(rhs)).reshape(shape)
+                held.append(tuple(np.moveaxis(a, pick, -1).reshape(-1, shape[pick]).copy()
+                                  for a in (ids, start)))
+        return held
 
     def _solve_live(self, core, c, lp: dict, held) -> tuple[np.ndarray, int, int]:
         """Cutting-plane solve on one HiGHS model: every ordinary row and
@@ -268,10 +271,10 @@ class LinearProgram:
             new = np.concatenate(new)
             if not len(new):
                 return x, rounds, highs.getNumRow()
-            rows = A_ub[new]
-            highs.addRows(len(new), np.full(len(new), -np.inf), b_ub[new], rows.nnz,
-                          rows.indptr[:-1].astype(np.int32), rows.indices.astype(np.int32),
-                          rows.data)
+            cut = A_ub[new]
+            highs.addRows(len(new), np.full(len(new), -np.inf), b_ub[new], cut.nnz,
+                          cut.indptr[:-1].astype(np.int32), cut.indices.astype(np.int32),
+                          cut.data)
 
     @staticmethod
     def _solve_mip(c, lp: dict):

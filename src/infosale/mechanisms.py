@@ -480,9 +480,8 @@ def build_prob_return_lp(util: np.ndarray, b: np.ndarray, cond: np.ndarray,
     dev = -cond[pi][:, :, None, None] * np.stack(
         [util[pi] - b[pj][:, None, None], util[pi] + M], axis=-1)      # (pair, w, a2, block)
     grid = (len(pi), na, na, 2)                                         # (pair, a, a2, block)
-    # above HOLD_BACK_ABOVE entries the remap rows are held back: HiGHS starts
-    # from the obey rows (a2 = a), which bound every z from below, and gains
-    # the worst violated remap per (pair, a, block) each round
+    # held back, the remap rows start from the obey rows (a2 = a), which bound
+    # every z from below and so keep the restricted program bounded
     obey = np.eye(na, dtype=bool)[:, :, None] if m > HOLD_BACK_ABOVE else None
     lp.add_rows("zdef", _join(grid, z.transpose(0, 2, 1)[:, :, None, :, None],
                               p[pj].transpose(0, 2, 3, 1)[:, :, None]),

@@ -237,17 +237,13 @@ def test_dirp_equals_depr_at_one_budget_level(rng):
         assert abs(solve_cm_dirp(inst, b).revenue - solve_cm_depr(inst).revenue) <= 1e-7
 
 
-def _seed102():
-    path = Path(__file__).parent / "fixtures" / "probr_obedience_seed102.json"
-    return load_instance(json.loads(path.read_text()))
-
-
 def test_probr_rare_recommendation_is_obeyed():
     # the first (5, 5, 4, 3) instance of pass 5 of the probr-large benchmark
     # workload at seed 102 (M = 0): its LP optimum, exact only to HiGHS's
     # tolerance, recommends (a2, -) to (t4, 7.59767) so rarely that the
     # posterior regret reads -1.35e-5 per unit of probability
-    inst = _seed102()
+    path = Path(__file__).parent / "fixtures" / "probr_obedience_seed102.json"
+    inst = load_instance(json.loads(path.read_text()))
     assert verify_all(solve_cm_probr(inst), inst, eps=0.0, tol=1e-6).passed
 
 
@@ -274,6 +270,12 @@ def test_revenue_cap_is_never_negative():
 
 
 # -- held-back remap rows above 12 menu entries ----------------------------
+
+
+def _seed102():
+    """The m = 15 instance of test_probr_rare_recommendation_is_obeyed."""
+    path = Path(__file__).parent / "fixtures" / "probr_obedience_seed102.json"
+    return load_instance(json.loads(path.read_text()))
 
 
 def _held_and_whole(solve):
