@@ -95,9 +95,9 @@ def _commit() -> str | None:
     return done.stdout.strip() or None
 
 
-def ladder(budget: float, seed: int, rungs: int) -> dict:
+def ladder(budget: float, seed: int) -> dict:
     out = []
-    for size in RUNGS[:rungs]:
+    for size in RUNGS:
         draws = []
         for draw in range(DRAWS):
             draws.append(_child(size, seed, draw, budget))
@@ -128,15 +128,13 @@ def main() -> None:
     parser.add_argument("--budget-s", type=float, default=60.0,
                         help="seconds allowed per solve (default 60)")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--rungs", type=int, default=len(RUNGS),
-                        help="walk at most this many rungs (default all)")
     parser.add_argument("--solve", help=argparse.SUPPRESS)
     parser.add_argument("--draw", type=int, default=0, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.solve:
         solve_one(tuple(int(k) for k in args.solve.split(",")), args.seed, args.draw)
     else:
-        print(json.dumps(ladder(args.budget_s, args.seed, args.rungs), indent=1))
+        print(json.dumps(ladder(args.budget_s, args.seed), indent=1))
 
 
 if __name__ == "__main__":

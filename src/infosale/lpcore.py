@@ -12,7 +12,7 @@ sparse products — a solution is never trusted on the solver's word alone.
 
 A family of inequality rows can be held back: HiGHS then starts from the
 family's start rows and, on one live model that keeps its basis, re-solves
-after adding the worst violated missing row along the family's pick axis,
+after adding the worst violated missing row along the row grid's last axis,
 until no missing row is violated (Kelley's cutting-plane method, J. SIAM 8,
 1960). The re-check still covers every row, held back or not.
 """
@@ -91,7 +91,7 @@ class LinearProgram:
     # (name, shape, lb, ub, integer) per block; (name, shape, "ub" or "eq",
     # cols, coefs, rhs, held) per family, cols and coefs (rows, terms), >= rows
     # negated into HiGHS's A_ub x <= b_ub, and held None or a held-back
-    # family's (start mask, pick axis) over its row grid
+    # family's start mask over its row grid
     _blocks: list[tuple] = field(default_factory=list)
     _families: list[tuple] = field(default_factory=list)
     _objective: tuple[np.ndarray, np.ndarray] = (np.zeros(0, int), np.zeros(0))
@@ -111,8 +111,7 @@ class LinearProgram:
         self._n += ids.size
         return ids
 
-    def add_rows(self, name: str, cols, coefs, sense: str, rhs, start=None,
-                 pick: int | None = None) -> None:
+    def add_rows(self, name: str, cols, coefs, sense: str, rhs, start=None) -> None:
         """Add a family of rows sum_k coefs[..., k] * x[cols[..., k]] (sense) rhs.
 
         cols and coefs broadcast to (*rows, terms) and rhs to rows; a column
@@ -121,7 +120,7 @@ class LinearProgram:
 
         A boolean `start` (broadcast to the row grid) holds an inequality
         family back: solve() hands HiGHS only its start rows, then adds rows
-        one per line along the grid's `pick` axis, the worst violated one,
+        one per line along the grid's last axis, the worst violated one,
         until none is violated. The start rows must keep the program bounded.
         """
         if sense not in _SENSES:
@@ -130,9 +129,9 @@ class LinearProgram:
         shape, terms = cols.shape[:-1], cols.shape[-1]
         held = None
         if start is not None:
-            if sense == "==" or pick is None:
-                raise ValueError("only an inequality family with a pick axis can be held back")
-            held = np.broadcast_to(np.asarray(start, dtype=bool), shape), pick
+            if sense == "==":
+                raise ValueError("only an inequality family can be held back")
+            held = np.broadcast_to(np.asarray(start, dtype=bool), shape)
         sign = -1.0 if sense == ">=" else 1.0
         self._families.append((name, shape, "eq" if sense == "==" else "ub",
                                cols.reshape(-1, terms), sign * coefs.reshape(-1, terms),
@@ -207,15 +206,13 @@ class LinearProgram:
 
     def _held(self, lp: dict) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per held-back family, its A_ub row ids and a copy of its start
-        mask, both (lines, pick) with the pick axis last."""
+        mask, both (lines, last axis of the row grid)."""
         held = []
         families = [f for f in self._families if f[2] == "ub"]
-        for (_, shape, _, _, _, rhs, hold), first in zip(families, lp["ub_families"][1]):
-            if hold is not None:
-                start, pick = hold
-                ids = first + np.arange(len(rhs)).reshape(shape)
-                held.append(tuple(np.moveaxis(a, pick, -1).reshape(-1, shape[pick]).copy()
-                                  for a in (ids, start)))
+        for (_, shape, _, _, _, rhs, start), first in zip(families, lp["ub_families"][1]):
+            if start is not None:
+                held.append((first + np.arange(len(rhs)).reshape(-1, shape[-1]),
+                             start.reshape(-1, shape[-1]).copy()))
         return held
 
     def _solve_live(self, core, c, lp: dict, held) -> tuple[np.ndarray, int, int]:

@@ -179,7 +179,7 @@ def test_rhs_broadcasts_and_repeated_objective_columns_add_up():
 
 def _held_toy(start):
     # max 2x + y over [0, 10]^2 with rows over a (2, 3) grid, picked along
-    # axis 1: line 0 is x <= 8, x + y <= 9, 2x <= 10 and line 1 is y <= 8,
+    # its last axis: line 0 is x <= 8, x + y <= 9, 2x <= 10 and line 1 is y <= 8,
     # y - x <= 2, 3y <= 18. From the start rows alone the optimum is (8, 8);
     # x + y <= 9 and 3y <= 18 join, then 2x <= 10, and (5, 4) is optimal with
     # both x + y <= 9 and 2x <= 10 binding
@@ -187,7 +187,7 @@ def _held_toy(start):
     x, y = lp.add_block("v", 2, 0.0, 10.0)
     lp.add_rows("cap", [[[x, y], [x, y], [x, y]], [[x, y], [x, y], [x, y]]],
                 [[[1.0, 0.0], [1.0, 1.0], [2.0, 0.0]], [[0.0, 1.0], [-1.0, 1.0], [0.0, 3.0]]],
-                "<=", [[8.0, 9.0, 10.0], [8.0, 2.0, 18.0]], start=start, pick=1)
+                "<=", [[8.0, 9.0, 10.0], [8.0, 2.0, 18.0]], start=start)
     lp.set_objective([x, y], [2.0, 1.0])
     return lp
 
@@ -212,20 +212,18 @@ def test_recheck_covers_held_back_rows():
 def test_infeasible_start_rows_raise():
     lp = LinearProgram("held-infeasible")
     x = lp.add_block("x", (), 0.0, 1.0)
-    lp.add_rows("floor", [[x], [x]], 1.0, ">=", [2.0, 0.0], start=[True, False], pick=0)
+    lp.add_rows("floor", [[x], [x]], 1.0, ">=", [2.0, 0.0], start=[True, False])
     lp.set_objective(x, 1.0)
     with pytest.raises(SolverFailure) as failure:
         lp.solve()
     assert failure.value.status == lpcore.INFEASIBLE
 
 
-def test_only_inequalities_with_a_pick_axis_are_held_back():
+def test_only_inequalities_are_held_back():
     lp = LinearProgram("held-bad")
     x = lp.add_block("x", 2, 0.0, 1.0)
     with pytest.raises(ValueError):
-        lp.add_rows("split", x[None], 1.0, "==", 1.0, start=[True], pick=0)
-    with pytest.raises(ValueError):
-        lp.add_rows("cap", x[None], 1.0, "<=", 1.0, start=[True])
+        lp.add_rows("split", x[None], 1.0, "==", 1.0, start=[True])
 
 
 def test_held_back_rows_go_to_linprog_without_the_live_model(monkeypatch):

@@ -1,10 +1,9 @@
 """Smoke runs of the example scripts: each finishes and exits 0."""
 
-import json
+import importlib.util
 import os
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -24,15 +23,15 @@ def test_script_runs(argv):
     assert done.returncode == 0, done.stderr
 
 
-def test_capacity_ladder_runs_its_first_rung():
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    start = time.perf_counter()
-    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "capacity_ladder.py"),
-                           "--budget-s", "60", "--seed", "1", "--rungs", "1"],
-                          capture_output=True, text=True, env=env, timeout=300)
-    elapsed = time.perf_counter() - start
-    assert done.returncode == 0, done.stderr
-    (rung,) = json.loads(done.stdout)["rungs"]
+def test_capacity_ladder_runs_its_first_rung(monkeypatch):
+    # the ladder walks its first rung only; its children take their size
+    # through --solve and never read RUNGS
+    spec = importlib.util.spec_from_file_location("capacity_ladder",
+                                                  ROOT / "scripts" / "capacity_ladder.py")
+    ladder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ladder)
+    monkeypatch.setattr(ladder, "RUNGS", ladder.RUNGS[:1])
+    monkeypatch.setenv("PYTHONPATH", str(ROOT / "src"))
+    (rung,) = ladder.ladder(budget=60.0, seed=1)["rungs"]
     assert rung["size"] == [4, 4, 4, 3] and rung["verdicts"] == ["pass"] * 3
-    assert rung["rows"] > 0 and rung["median_s"] < 60
-    assert elapsed < 5
+    assert rung["rows"] > 0 and rung["median_s"] < 5
