@@ -4,11 +4,12 @@ A program is held as arrays: columns come in named blocks of any shape
 (add_block returns the block's column ids as an array of that shape), and
 rows come in named families, each one sense with a (rows, terms) grid of
 column ids and coefficients and one right-hand side per row (add_rows).
-solve() stacks the families' COO triples into sparse matrices, runs HiGHS
-(its simplex for a pure LP, its branch-and-bound once any column is
-integer), maps its status onto a small enum, and re-checks the returned
-point against every row, bound and integrality requirement with its own
-sparse products — a solution is never trusted on the solver's word alone.
+solve() stacks the families' COO triples into sparse matrices and hands the
+whole program to HiGHS in one `linprog` call (its simplex for a pure LP, its
+branch-and-bound once any column is integer), maps its status onto a small
+enum, and re-checks the returned point against every row, bound and
+integrality requirement with its own sparse products — a solution is never
+trusted on the solver's word alone.
 
 A family of inequality rows can be held back: HiGHS then starts from the
 family's start rows and, on one live model that keeps its basis, re-solves
@@ -19,16 +20,15 @@ until no missing row is violated (Kelley's cutting-plane method, J. SIAM 8,
 
 from __future__ import annotations
 
-import importlib
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as core
 from scipy.sparse import csr_matrix, vstack
 
 from .errors import SolverFailure
 
-OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
@@ -48,19 +48,8 @@ class LPSolution:
 
     values: np.ndarray
     objective: float
-    status: str
     rounds: int
     rows: int
-
-
-def _live_model():
-    """scipy's bindings to one HiGHS model that keeps its basis between
-    solves, or None where this scipy has none (held-back rows then go to
-    linprog with the rest)."""
-    try:
-        return importlib.import_module("scipy.optimize._highspy._core")
-    except ImportError:
-        return None
 
 
 # what linprog(method="highs") sets: dual simplex after presolve, no output
@@ -177,17 +166,16 @@ class LinearProgram:
         """
         lp = self._assemble()
         c = -lp["c"] if self.maximize else lp["c"]
-        held = [] if lp["integer"].any() else self._held(lp)
-        core = _live_model() if held else None
-        if core is not None:
-            values, rounds, rows = self._solve_live(core, c, lp, held)
+        held = self._held(lp)
+        if held:
+            values, rounds, rows = self._solve_live(c, lp, held)
         else:
-            if lp["integer"].any():
-                result = self._solve_mip(c, lp)
-            else:
-                result = linprog(c, A_ub=lp["A_ub"], b_ub=lp["b_ub"], A_eq=lp["A_eq"],
-                                 b_eq=lp["b_eq"], bounds=np.column_stack([lp["lb"], lp["ub"]]),
-                                 method="highs")
+            # HiGHS's default relative gap (1e-4) would let branch-and-bound
+            # stop at a visibly worse answer
+            result = linprog(c, A_ub=lp["A_ub"], b_ub=lp["b_ub"], A_eq=lp["A_eq"],
+                             b_eq=lp["b_eq"], bounds=np.column_stack([lp["lb"], lp["ub"]]),
+                             method="highs", integrality=lp["integer"],
+                             options={"mip_rel_gap": 1e-9})
             if result.status == 2:
                 raise SolverFailure(f"{self.name}: program infeasible", status=INFEASIBLE)
             if result.status == 3:
@@ -201,8 +189,8 @@ class LinearProgram:
         if worst > FEAS_TOL:
             raise SolverFailure(f"{self.name}: solver point violates {row_name!r} "
                                 f"by {worst:.3g} (> {FEAS_TOL:g})", status="recheck")
-        return LPSolution(values=values, objective=float(lp["c"] @ values), status=OPTIMAL,
-                          rounds=rounds, rows=rows)
+        return LPSolution(values=values, objective=float(lp["c"] @ values), rounds=rounds,
+                          rows=rows)
 
     def _held(self, lp: dict) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per held-back family, its A_ub row ids and a copy of its start
@@ -215,7 +203,7 @@ class LinearProgram:
                              start.reshape(-1, shape[-1]).copy()))
         return held
 
-    def _solve_live(self, core, c, lp: dict, held) -> tuple[np.ndarray, int, int]:
+    def _solve_live(self, c, lp: dict, held) -> tuple[np.ndarray, int, int]:
         """Cutting-plane solve on one HiGHS model: every ordinary row and
         the held-back families' start rows first; after each run, the worst
         missing row of each line that is violated by more than CUT_TOL joins
@@ -272,19 +260,6 @@ class LinearProgram:
             highs.addRows(len(new), np.full(len(new), -np.inf), b_ub[new], cut.nnz,
                           cut.indptr[:-1].astype(np.int32), cut.indices.astype(np.int32),
                           cut.data)
-
-    @staticmethod
-    def _solve_mip(c, lp: dict):
-        """HiGHS branch-and-bound on the assembled rows; status codes as linprog's."""
-        constraints = []
-        if lp["A_ub"] is not None:
-            constraints.append(LinearConstraint(lp["A_ub"], -np.inf, lp["b_ub"]))
-        if lp["A_eq"] is not None:
-            constraints.append(LinearConstraint(lp["A_eq"], lp["b_eq"], lp["b_eq"]))
-        # HiGHS's default relative gap (1e-4) would let branch-and-bound stop
-        # at a visibly worse answer
-        return milp(c, integrality=lp["integer"], bounds=Bounds(lp["lb"], lp["ub"]),
-                    constraints=constraints, options={"mip_rel_gap": 1e-9})
 
     def max_violation(self, values: np.ndarray) -> tuple[float, str]:
         """Largest row/bound/integrality violation at the point, with its

@@ -1,11 +1,14 @@
 """Every LP and MILP the solvers hand to HiGHS, and every menu they return,
 pinned by digest.
 
-Each call to lpcore's `linprog` or `milp` is captured and hashed: the
-objective, the column bounds, the integrality marks and every constraint
-matrix in the CSR form HiGHS reads (data, indices and indptr) with its
-right-hand sides. Same digests mean the same programs, column for column and
-row for row, so any rewrite of the LP builders must leave them unchanged.
+Each call to lpcore's `linprog` is captured and hashed: the objective, the
+column bounds, the integrality marks and every constraint matrix in the CSR
+form HiGHS reads (data, indices and indptr) with its right-hand sides. A
+call with an integer column is hashed as a `milp`, in the layout
+`scipy.optimize.milp` takes (each matrix with its lower and upper row
+bounds), the form these programs were first pinned in. Same digests mean the
+same programs, column for column and row for row, so any rewrite of the LP
+builders must leave them unchanged.
 Each returned menu's payments, kernel, utilities and revenue are hashed the
 same way, so a rewrite of the pricing and cleanup steps must leave every
 bit of the solvers' answers unchanged too.
@@ -54,12 +57,12 @@ def _linprog_arrays(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None, 
     return out
 
 
-def _milp_arrays(c, integrality=None, bounds=None, constraints=(), **_):
-    n = len(c)
-    out = [c, np.broadcast_to(bounds.lb, n), np.broadcast_to(bounds.ub, n), integrality]
-    for con in constraints:
-        rows = con.A.shape[0]
-        out += _csr(con.A) + [np.broadcast_to(con.lb, rows), np.broadcast_to(con.ub, rows)]
+def _milp_arrays(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None,
+                 integrality=None, **_):
+    bounds = np.asarray(bounds, dtype=float).reshape(-1, 2)
+    out = [c, bounds[:, 0], bounds[:, 1], integrality]
+    for A, lo, hi in ((A_ub, -np.inf, b_ub), (A_eq, b_eq, b_eq)):
+        out += [] if A is None else _csr(A) + [np.broadcast_to(lo, len(hi)), hi]
     return out
 
 
@@ -92,21 +95,20 @@ def _cases():
 def capture(run) -> list[str]:
     """Digests of the programs `run()` passes to HiGHS, in call order."""
     seen = []
-    linprog, milp = lpcore.linprog, lpcore.milp
+    linprog = lpcore.linprog
 
     def traced_linprog(*args, **kwargs):
-        seen.append(_digest("linprog", _linprog_arrays(*args, **kwargs)))
+        if np.any(kwargs.get("integrality")):
+            seen.append(_digest("milp", _milp_arrays(*args, **kwargs)))
+        else:
+            seen.append(_digest("linprog", _linprog_arrays(*args, **kwargs)))
         return linprog(*args, **kwargs)
 
-    def traced_milp(*args, **kwargs):
-        seen.append(_digest("milp", _milp_arrays(*args, **kwargs)))
-        return milp(*args, **kwargs)
-
-    lpcore.linprog, lpcore.milp = traced_linprog, traced_milp
+    lpcore.linprog = traced_linprog
     try:
         run()
     finally:
-        lpcore.linprog, lpcore.milp = linprog, milp
+        lpcore.linprog = linprog
     return seen
 
 

@@ -1,5 +1,3 @@
-import sys
-
 import numpy as np
 import pytest
 
@@ -50,12 +48,17 @@ def test_infeasible_raises():
         lp.solve()
 
 
-def test_unbounded_raises():
+@pytest.mark.parametrize("integer, status", [(False, "unbounded"), (True, "error")],
+                         ids=["lp", "milp"])
+def test_unbounded_raises(integer, status):
+    # HiGHS's branch-and-bound reports an unbounded MILP as "unbounded or
+    # infeasible", which says neither, so it surfaces as a solver error
     lp = LinearProgram("unbounded")
-    x = lp.add_block("x", (), 0.0)
+    x = lp.add_block("x", (), 0.0, integer=integer)
     lp.set_objective(x, 1.0)
-    with pytest.raises(SolverFailure):
+    with pytest.raises(SolverFailure) as failure:
         lp.solve()
+    assert failure.value.status == status
 
 
 def test_free_variable():
@@ -224,17 +227,3 @@ def test_only_inequalities_are_held_back():
     x = lp.add_block("x", 2, 0.0, 1.0)
     with pytest.raises(ValueError):
         lp.add_rows("split", x[None], 1.0, "==", 1.0, start=[True])
-
-
-def test_held_back_rows_go_to_linprog_without_the_live_model(monkeypatch):
-    # a scipy without its HiGHS bindings: the family is solved whole
-    calls = []
-    linprog = lpcore.linprog
-    monkeypatch.setattr(lpcore, "linprog", lambda *a, **k: calls.append(1) or linprog(*a, **k))
-    sol = _held_toy([True, False, False]).solve()
-    assert calls == []
-    monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
-    fallback = _held_toy([True, False, False]).solve()
-    assert calls == [1]
-    assert fallback.objective == pytest.approx(sol.objective, abs=1e-9)
-    assert (fallback.rounds, fallback.rows) == (1, 6)
