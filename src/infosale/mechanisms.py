@@ -451,7 +451,7 @@ def build_prob_return_lp(util: np.ndarray, b: np.ndarray, cond: np.ndarray,
     # p[..., 0] keeps the deposit ("+"), p[..., 1] returns it plus M ("-")
     p = lp.add_block("p", (m, nw, na, 2), 0.0, 1.0)
     # menu pairs (truth i, report j) with the report's deposit affordable
-    pi, pj = np.nonzero(b[None, :] <= b[:, None] + 1e-12)
+    pi, pj = np.nonzero(affordable(b[None, :], b[:, None]))
     U = np.full((m, m), -1)
     U[pi, pj] = lp.add_block("U", len(pi), None, None)
     z = lp.add_block("z", (len(pi), 2, na), None, None)

@@ -29,7 +29,8 @@ class Instance:
     """A market for information: spaces, prior, utilities, seller budget.
 
     prior has shape (n_omega, n_theta, n_budgets) and sums to one; utility
-    has shape (n_omega, n_theta, n_actions). budgets is strictly increasing.
+    has shape (n_omega, n_theta, n_actions). budgets is strictly increasing,
+    with levels further apart than budget_id's tolerance.
     """
 
     omega: tuple[str, ...]
@@ -89,8 +90,8 @@ class Instance:
         return self.prior.sum(axis=(0, 2))
 
 
-def positive_types(instance: Instance, tol: float = PROB_TOL) -> list[tuple[int, int]]:
-    """Index pairs (ti, bi) with mu(theta, b) > tol, in label order.
+def positive_types(instance: Instance) -> list[tuple[int, int]]:
+    """Index pairs (ti, bi) with mu(theta, b) > PROB_TOL, in label order.
 
     Zero-marginal pairs are excluded from every downstream constraint set
     and from verification; this is the single place that rule lives.
@@ -99,7 +100,7 @@ def positive_types(instance: Instance, tol: float = PROB_TOL) -> list[tuple[int,
     return [(ti, bi)
             for ti in range(len(instance.theta))
             for bi in range(len(instance.budgets))
-            if marg[ti, bi] > tol]
+            if marg[ti, bi] > PROB_TOL]
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,8 +157,12 @@ def validate(instance: Instance) -> None:
         raise InputError("utility entries must be finite")
     if not all(np.isfinite(b) and b >= 0 for b in instance.budgets):
         raise InputError("budget levels must be finite and nonnegative")
-    if any(b2 <= b1 for b1, b2 in zip(instance.budgets, instance.budgets[1:])):
-        raise InputError("budget levels must be strictly increasing")
+    # budget_id matches a level within PROB_TOL * max(1, |level|), so closer
+    # levels could not be told apart
+    if any(b2 - b1 <= PROB_TOL * max(1.0, abs(b2))
+           for b1, b2 in zip(instance.budgets, instance.budgets[1:])):
+        raise InputError(f"budget levels must be increasing, each more than "
+                         f"{PROB_TOL:g} * max(1, |level|) above the one before")
     if not (np.isfinite(instance.seller_budget) and instance.seller_budget >= 0):
         raise InputError("seller budget must be finite and nonnegative")
     marg_w = instance.omega_marginal()
@@ -334,10 +339,10 @@ def surplus(instance: Instance, theta: str, b: float | None = None) -> float:
     return float(informed - outside)
 
 
-def is_independent(instance: Instance, tol: float = PROB_TOL) -> bool:
+def is_independent(instance: Instance) -> bool:
     """True when the joint prior factors as mu(omega) * mu(theta, b)."""
     product = np.einsum("w,tb->wtb", instance.omega_marginal(), instance.type_marginal())
-    return bool(np.max(np.abs(instance.prior - product)) <= tol)
+    return bool(np.max(np.abs(instance.prior - product)) <= PROB_TOL)
 
 
 # -- the canonical worked example ----------------------------------------

@@ -501,7 +501,7 @@ def two_option_tree() -> Node:
     return BuyerNode(children=[option1, option2], labels=["pay-50", "pay-100-refund-61"])
 
 
-SIM_BLOCK = 4096   # uniforms drawn, and trial starts walked, at a time
+SIM_BLOCK = 4096   # trial starts walked at a time
 
 
 def simulate(tree: Node, instance: Instance, trials: int,
@@ -517,11 +517,12 @@ def simulate(tree: Node, instance: Instance, trials: int,
     rng.random() for the (state, type, budget) and one more at each seller
     node it visits, where it picks the child by searchsorted(side="right")
     of the uniform times the row total among the row's running sums. To run
-    vectorized, every position of a block of uniforms is walked as if a
-    trial started there, and the real starts are the chain that begins
-    where the previous trial ended. A trial still walking at the end of a
-    block carries into the next. The generator is left just past the
-    uniforms the trials used.
+    vectorized, each block of uniforms begins at the next trial's first
+    one, and a trial is walked from each of the block's first SIM_BLOCK
+    positions; the block runs on far enough that every such walk finishes
+    inside it. The real trials are the chain that starts at position 0.
+    The generator is then put back to just past the chain's last trial, so
+    the next block, and the caller, go on from there.
     """
     if trials < 0:
         raise InputError("trials must be nonnegative")
@@ -542,44 +543,37 @@ def simulate(tree: Node, instance: Instance, trials: int,
                 move[c, i] = ct.kids[i][choice]
     move = move.ravel()
     prior_cum = np.cumsum(instance.prior.reshape(-1))
+    # the most uniforms a trial can take: one, and one per seller node on
+    # the longest root-to-leaf path
+    depth = (ct.kind == SELLER).tolist()
+    for i, below in enumerate(ct.kids):
+        for c in below:
+            depth[c] += depth[i]
+    longest = 1 + max(depth)
 
     takes = np.zeros(trials)
     classes = np.zeros(trials, dtype=np.intp)
     done = 0
-    chain = 0     # position of the next trial's first uniform
-    base = 0      # position of the block's first uniform
-    # the walk of the trial at chain when it ran past the last block
-    carry = np.zeros((5, 0), dtype=np.intp), np.zeros(0)
     while done < trials:
         state = rng.bit_generator.state
-        # a trial takes at least one uniform; a short run draws no full block
-        u = rng.random(min(SIM_BLOCK, 2 * (trials - done)))
-        used, paid, cls, walking = _walk_block(
-            ct, move, plays, prior_cum, instance.prior.shape, u, base, chain, carry)
+        # a trial takes at least one uniform; a short run walks no full block
+        starts = min(SIM_BLOCK, 2 * (trials - done))
+        u = rng.random(starts + longest - 1)
+        used, paid, cls = _walk_block(ct, move, plays, prior_cum,
+                                      instance.prior.shape, u, starts)
         steps = used.tolist()
-        steps.append(0)    # the chain stops here, or at a trial still walking
-        r, starts = 0, []
-        while step := steps[r]:
-            starts.append(r)
-            r += step
-        if len(starts) > trials - done:
-            del starts[trials - done:]
-            r = starts[-1] + steps[starts[-1]]
-        takes[done:done + len(starts)] = paid[starts]
-        classes[done:done + len(starts)] = cls[starts]
-        done += len(starts)
-        chain += r
-        mine = walking[0][0] == chain
-        carry = walking[0][:, mine], walking[1][mine]
-        base += len(u)
-    if trials:
-        # rewind to the last block and take only the uniforms trials used
+        r, chain = 0, []
+        while r < starts and len(chain) < trials - done:
+            chain.append(r)
+            r += steps[r]
+        takes[done:done + len(chain)] = paid[chain]
+        classes[done:done + len(chain)] = cls[chain]
+        done += len(chain)
+        # keep only the uniforms up to r, where the next trial starts
         rng.bit_generator.state = state
-        rng.random(chain - (base - len(u)))
-        found, first, n = np.unique(classes, return_index=True, return_counts=True)
-        counts = {keys[found[o]]: int(n[o]) for o in np.argsort(first)}
-    else:
-        counts = {}
+        rng.random(r)
+    found, first, n = np.unique(classes, return_index=True, return_counts=True)
+    counts = {keys[found[o]]: int(n[o]) for o in np.argsort(first)}
     mean = float(takes.mean()) if trials else 0.0
     stderr = float(takes.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     return {
@@ -592,66 +586,47 @@ def simulate(tree: Node, instance: Instance, trials: int,
 
 
 def _walk_block(ct: CompiledTree, move: np.ndarray, plays: np.ndarray,
-                prior_cum: np.ndarray, shape: tuple, u: np.ndarray, base: int,
-                lo: int, carry: tuple) -> tuple:
-    """Walk a trial from every position of a block of uniforms.
+                prior_cum: np.ndarray, shape: tuple, u: np.ndarray,
+                starts: int) -> tuple:
+    """Walk a trial from each of the first `starts` positions of a block of
+    uniforms.
 
-    u holds the uniforms at positions base, base + 1, ... A walk is a column
-    of (position, node, uniforms used, state, type class) with what it has
-    paid beside it; carry, when it has a column, is the walk of a trial that
-    started at lo < base and stopped at base for want of a uniform. Returns,
-    for every position from lo to the block's end, the uniforms its trial
-    used (0 while still walking), what it paid and its type class, and the
-    walks that stopped at the block's end.
+    The trial from position p draws its (state, type, budget) with u[p] and
+    its k-th seller child with u[p + k]; u must run long enough that every
+    walk finishes inside it. A walk is a column of (start, node, uniforms
+    used, state, type class) with what it has paid beside it. Returns, per
+    start, the uniforms its trial used, what it paid and its type class.
     """
-    end = base + len(u)
     n_nodes = len(ct.nodes)
     n_kids = np.diff(ct.first)
     w, ti, bi = np.unravel_index(
-        np.searchsorted(prior_cum, u * prior_cum[-1], side="right"), shape)
+        np.searchsorted(prior_cum, u[:starts] * prior_cum[-1], side="right"), shape)
     cls = ti * shape[2] + bi
-    used = np.ones(end - lo, dtype=np.intp)
-    paid = np.zeros(end - lo)
-    classes = np.zeros(end - lo, dtype=np.intp)
-    classes[base - lo:] = cls
+    used = np.ones(starts, dtype=np.intp)
+    paid = np.zeros(starts)
     go = np.flatnonzero(plays[cls])
-    walk = np.stack([base + go, np.zeros_like(go), np.ones_like(go), w[go], cls[go]])
+    walk = np.stack([go, np.zeros_like(go), np.ones_like(go), w[go], cls[go]])
     total = np.zeros(go.size)
-    if carry[1].size:
-        walk = np.concatenate([carry[0], walk], axis=1)
-        total = np.concatenate([carry[1], total])
-        classes[0] = carry[0][4, 0]
-    parked = [(walk[:, :0], total[:0])]
     while walk.shape[1]:
         pos, node, k, w, c = walk
-        seller = ct.kind[node] == SELLER
-        stuck = seller & (pos + k >= end)
-        if stuck.any():
-            parked.append((walk[:, stuck], total[stuck]))
-            keep = ~stuck
-            walk, total, seller = walk[:, keep], total[keep], seller[keep]
-            pos, node, k, w, c = walk
         nxt = move[c * n_nodes + node]
-        s = np.flatnonzero(seller)
+        s = np.flatnonzero(ct.kind[node] == SELLER)
         if s.size:
             at, ws, width = node[s], w[s], n_kids[node[s]]
-            x = u[pos[s] + k[s] - base] * ct.rowsum[at, ws]
+            x = u[pos[s] + k[s]] * ct.rowsum[at, ws]
             j = _bisect_right(ct.cum, ct.cum_at[at] + ws * width, width, x)
             nxt[s] = ct.child[ct.first[at] + np.minimum(j, width - 1)]
             k[s] += 1
         stop = nxt < 0
         if stop.any():
-            used[pos[stop] - lo] = k[stop]
-            paid[pos[stop] - lo] = total[stop]
+            used[pos[stop]] = k[stop]
+            paid[pos[stop]] = total[stop]
             keep = ~stop
             walk, total, nxt = walk[:, keep], total[keep], nxt[keep]
         # a transfer walked through is paid; other nodes add an exact 0
         total = total + ct.amount[walk[1]]
         walk[1] = nxt
-    walking = (np.concatenate([p[0] for p in parked], axis=1),
-               np.concatenate([p[1] for p in parked]))
-    used[walking[0][0] - lo] = 0
-    return used, paid, classes, walking
+    return used, paid, cls
 
 
 def _bisect_right(cum: np.ndarray, row: np.ndarray, width: np.ndarray,

@@ -92,6 +92,22 @@ def test_validation_rejects_bad_inputs(box):
         load_instance({**data, "utility": short})
 
 
+def test_budget_levels_closer_than_budget_id_tells_apart_are_refused(box):
+    data = instance_to_json_dict(box)
+
+    def move_level_2(to):
+        return {**data, "budgets": [50.0, to],
+                "prior": [dict(row, b=to) if row["b"] == 100.0 else row
+                          for row in data["prior"]]}
+
+    # 4e-8 apart is within budget_id's 1e-9 * 50 of level 1
+    with pytest.raises(InputError, match="1e-09"):
+        load_instance(move_level_2(50.00000004))
+    spaced = load_instance(move_level_2(50.0000001))
+    assert spaced.budgets == (50.0, 50.0000001)
+    assert np.array_equal(spaced.prior, box.prior)
+
+
 def test_label_lookup_errors(box):
     with pytest.raises(InputError):
         box.theta_id("nope")

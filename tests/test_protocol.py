@@ -290,8 +290,8 @@ def test_simulate_draws_what_the_scalar_walk_draws(tree, instance, k):
 
 def test_simulate_carries_a_trial_across_blocks(box):
     # four seller nodes on every path: each trial takes five uniforms, and
-    # five does not divide a block, so some trial starts in one block and
-    # ends in the next
+    # five does not divide a block, so a block's last trial runs past its
+    # last start and the next block begins where that trial ends
     rng = np.random.default_rng(7)
 
     def sellers(depth):
@@ -306,6 +306,21 @@ def test_simulate_carries_a_trial_across_blocks(box):
     trials = 2 * SIM_BLOCK
     assert SIM_BLOCK % 5 != 0
     assert_same_stream(tree, box, trials, seed=11)
+
+
+def test_simulate_runs_a_trial_longer_than_a_block(box, monkeypatch):
+    # twelve seller nodes in a chain, walked in blocks of four starts: in
+    # state "0" every trial goes to the bottom and takes thirteen uniforms
+    monkeypatch.setattr("infosale.protocol.SIM_BLOCK", 4)
+    rng = np.random.default_rng(12)
+    node = TransferNode(0.01, Leaf())
+    for _ in range(12):
+        node = SellerNode(children=[node, TransferNode(float(rng.uniform(0.0, 0.01)), Leaf())],
+                          transitions={"0": np.array([1.0, 0.0]),
+                                       "1": rng.dirichlet(np.ones(2))})
+    assert all(evaluate(node, box).participates.values())
+    for trials in (1, 2, 9, 200):
+        assert_same_stream(node, box, trials, seed=trials)
 
 
 # -- evaluate and to_revelation against the recursive walks -------------------
