@@ -146,6 +146,8 @@ def _open_oracle(args, rng: np.random.Generator):
 
 
 def cmd_sample(args) -> int:
+    if args.replications < 0:
+        raise InputError("--replications must be nonnegative")
     rng = np.random.default_rng(args.seed)
     oracle, shape = _open_oracle(args, rng)
     M = shape.seller_budget

@@ -97,15 +97,15 @@ class Menu:
 
     def lookup(self, thetas, budgets) -> np.ndarray:
         """The entry each truthful (theta, b) buyer reports, -1 for none: the
-        first of the buyer's type whose level is b up to 1e-9 (relative),
-        or of the buyer's type alone for dirp."""
+        first of the buyer's type whose level is b up to PROB_TOL (relative,
+        as budget_id matches), or of the buyer's type alone for dirp."""
         if not self.menu:
             return np.full(len(thetas), -1)
         code = {}
         entry_type = np.array([code.setdefault(t, len(code)) for t, _ in self.menu])
         levels = np.array([lv for _, lv in self.menu], dtype=float)
         same = np.abs(levels - np.asarray(budgets, dtype=float)[:, None]) <= (
-            1e-9 * np.maximum(1.0, np.abs(levels)))
+            PROB_TOL * np.maximum(1.0, np.abs(levels)))
         match = (np.array([code.get(t, -1) for t in thetas])[:, None] == entry_type) & (
             same | (self.kind == "dirp"))
         return np.where(match.any(axis=1), match.argmax(axis=1), -1)

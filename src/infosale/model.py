@@ -30,7 +30,8 @@ class Instance:
 
     prior has shape (n_omega, n_theta, n_budgets) and sums to one; utility
     has shape (n_omega, n_theta, n_actions). budgets is strictly increasing,
-    with levels further apart than budget_id's tolerance.
+    with levels further apart than budget_id's tolerance. Construction runs
+    validate, so an inconsistent instance raises InputError.
     """
 
     omega: tuple[str, ...]
@@ -50,32 +51,21 @@ class Instance:
         object.__setattr__(self, "_omega_index", {w: i for i, w in enumerate(self.omega)})
         object.__setattr__(self, "_theta_index", {t: i for i, t in enumerate(self.theta)})
         object.__setattr__(self, "_action_index", {a: i for i, a in enumerate(self.actions)})
+        validate(self)
 
     # -- index helpers -------------------------------------------------
 
     def omega_id(self, label: str) -> int:
-        try:
-            return self._omega_index[label]
-        except KeyError:
-            raise InputError(f"unknown state label {label!r}") from None
+        return _label_id(self._omega_index, label, "state")
 
     def theta_id(self, label: str) -> int:
-        try:
-            return self._theta_index[label]
-        except KeyError:
-            raise InputError(f"unknown type label {label!r}") from None
+        return _label_id(self._theta_index, label, "type")
 
     def action_id(self, label: str) -> int:
-        try:
-            return self._action_index[label]
-        except KeyError:
-            raise InputError(f"unknown action label {label!r}") from None
+        return _label_id(self._action_index, label, "action")
 
     def budget_id(self, b: float) -> int:
-        for i, lv in enumerate(self.budgets):
-            if abs(lv - b) <= PROB_TOL * max(1.0, abs(lv)):
-                return i
-        raise InputError(f"budget {b!r} is not one of the instance's levels {self.budgets}")
+        return _budget_id(self.budgets, b)
 
     # -- marginals ------------------------------------------------------
 
@@ -88,6 +78,20 @@ class Instance:
 
     def theta_marginal(self) -> np.ndarray:
         return self.prior.sum(axis=(0, 2))
+
+
+def _label_id(index: dict[str, int], label: str, what: str) -> int:
+    try:
+        return index[label]
+    except KeyError:
+        raise InputError(f"unknown {what} label {label!r}") from None
+
+
+def _budget_id(budgets: tuple[float, ...], b: float) -> int:
+    for i, lv in enumerate(budgets):
+        if abs(lv - b) <= PROB_TOL * max(1.0, abs(lv)):
+            return i
+    raise InputError(f"budget {b!r} is not one of the instance's levels {budgets}")
 
 
 def positive_types(instance: Instance) -> list[tuple[int, int]]:
@@ -216,16 +220,14 @@ def load_instance(source) -> Instance:
     except (TypeError, ValueError) as exc:
         raise InputError(f"malformed instance field: {exc}") from exc
 
-    instance = Instance(omega, theta, actions, budgets, seller_budget,
-                        prior=np.zeros((len(omega), len(theta), len(budgets))),
-                        utility=np.zeros((len(omega), len(theta), len(actions))))
-
+    omega_ids, theta_ids, action_ids = ({label: i for i, label in enumerate(labels)}
+                                        for labels in (omega, theta, actions))
     prior = np.zeros((len(omega), len(theta), len(budgets)))
     for row in prior_rows:
         try:
-            wi = instance.omega_id(str(row["omega"]))
-            ti = instance.theta_id(str(row["theta"]))
-            bi = instance.budget_id(float(row["b"]))
+            wi = _label_id(omega_ids, str(row["omega"]), "state")
+            ti = _label_id(theta_ids, str(row["theta"]), "type")
+            bi = _budget_id(budgets, float(row["b"]))
             prior[wi, ti, bi] += float(row["p"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed prior row {row!r}: {exc}") from exc
@@ -233,9 +235,9 @@ def load_instance(source) -> Instance:
     utility = np.full((len(omega), len(theta), len(actions)), np.nan)
     for row in utility_rows:
         try:
-            wi = instance.omega_id(str(row["omega"]))
-            ti = instance.theta_id(str(row["theta"]))
-            ai = instance.action_id(str(row["a"]))
+            wi = _label_id(omega_ids, str(row["omega"]), "state")
+            ti = _label_id(theta_ids, str(row["theta"]), "type")
+            ai = _label_id(action_ids, str(row["a"]), "action")
             utility[wi, ti, ai] = float(row["u"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed utility row {row!r}: {exc}") from exc
@@ -244,9 +246,7 @@ def load_instance(source) -> Instance:
         raise InputError(f"utility table incomplete: {missing} (omega, theta, action) "
                          "triples unlisted")
 
-    instance = Instance(omega, theta, actions, budgets, seller_budget, prior, utility)
-    validate(instance)
-    return instance
+    return Instance(omega, theta, actions, budgets, seller_budget, prior, utility)
 
 
 def instance_to_json_dict(instance: Instance) -> dict:

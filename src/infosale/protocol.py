@@ -197,6 +197,7 @@ def protocol_to_json_dict(node: Node) -> dict:
 
 KINDS = ("leaf", "transfer", "buyer", "seller")
 LEAF, TRANSFER, BUYER, SELLER = range(4)
+QUIT = -1   # evaluate's choice where the buyer walks away
 
 
 @dataclass
@@ -305,113 +306,109 @@ def evaluate(tree: Node | CompiledTree, instance: Instance) -> EvalResult:
     the first node and at every buyer node; a transfer the buyer cannot
     finance (net cumulative payment would pass their budget) converts into a
     quit on the spot. Ties break toward the lowest-index child, and toward
-    staying rather than quitting. `tree` may also be compile_tree's output
-    for this instance.
+    staying rather than quitting. Every type is played at once: the weights,
+    the values and the play are each one sweep over (node, type) tables.
+    `tree` may also be compile_tree's output for this instance.
     """
     ct = tree if isinstance(tree, CompiledTree) else compile_tree(tree, instance)
-    nodes, kids, mats, n = ct.nodes, ct.kids, ct.mats, len(ct.nodes)
-    kind, amount = ct.kind.tolist(), ct.amount.tolist()
-    owed = (ct.arrive + ct.amount).tolist()
+    kids, kind, n = ct.kids, ct.kind.tolist(), len(ct.nodes)
     view = prior_view(instance)
+    ti, bi = np.array(view.index).T
+    keys = [(instance.theta[t], float(instance.budgets[b])) for t, b in view.index]
+    own_labels = [(f"{th}|{b:.12g}", th) for th, b in keys]
 
-    buyer_value: dict = {}
+    # path weights of every (node, type), parents first. Backward induction
+    # visits (seen) no node past a transfer the wallet cannot cover, nor
+    # under a buyer node with no mass
+    funded = (ct.arrive + ct.amount)[:, None] <= np.array(instance.budgets)[bi] + BUDGET_TOL
+    w = np.empty((n, len(keys), len(instance.omega)))
+    w[0] = view.beliefs
+    seen = np.zeros((n, len(keys)), dtype=bool)
+    seen[0] = True
+    for i, below in enumerate(kids):
+        if kind[i] == SELLER:
+            w[below] = w[i] * ct.mats[i].T[:, None]
+            seen[below] = seen[i]
+        elif below:
+            w[below] = w[i]
+            seen[below] = seen[i] & (w[i].sum(axis=1) > MASS_TOL if kind[i] == BUYER
+                                     else funded[i])
+    mass = w.sum(axis=2)
+    # a type's best quit value at every node: one vector-matrix product per
+    # (node, type), grouped by theta so each has the bits of w[i, t] @ utility[:, th]
+    quit_val = np.empty(mass.shape)
+    for th in np.unique(ti):
+        of = ti == th
+        quit_val[:, of] = (w[:, of, None] @ instance.utility[:, th])[:, :, 0].max(axis=-1)
+
+    # values and choices, children before parents. A choice is the child
+    # followed (a transfer that pays follows its only one) or QUIT
+    val = quit_val.copy()
+    choice = np.zeros((n, len(keys)), dtype=np.intp)
+    for i in reversed(range(n)):
+        below = kids[i]
+        if kind[i] == SELLER:
+            val[i] = sum(val[below])
+        elif kind[i] == TRANSFER:
+            pay = np.where(funded[i], val[below[0]] - ct.amount[i] * mass[i], -np.inf)
+            # leaving is allowed before any payment, not only at buyer
+            # nodes; ties stay (mirrors the weak inequalities downstream)
+            quits = quit_val[i] > pay + TIE_TOL
+            choice[i] = np.where(quits, QUIT, 0)
+            val[i] = np.where(quits, quit_val[i], pay)
+        elif kind[i] == BUYER and not below:
+            choice[i] = QUIT
+        elif kind[i] == BUYER:
+            # pick the best continuation, else walk away. Indifference
+            # ladder: an option labeled with the buyer's own identity wins
+            # first (the buyer cooperates when it costs nothing), then
+            # staying beats quitting -- including through a child that
+            # itself quits immediately, since choosing that child is just
+            # quitting relocated -- then lowest index
+            vals = np.where(seen[below], val[below], -np.inf)
+            best = vals.max(axis=0)
+            labels = ct.nodes[i].labels or [None] * len(below)
+            own = [[lab in mine for mine in own_labels] for lab in labels]
+            ladder = np.where(own, 3, np.where(choice[below] != QUIT, 2, 1))
+            pick = np.where(vals >= best - TIE_TOL, ladder, 0).argmax(axis=0)
+            quits = (quit_val[i] > best + TIE_TOL) | (best == -np.inf)
+            choice[i] = np.where(quits, QUIT, pick)
+            val[i] = np.where(quits, quit_val[i], np.take_along_axis(vals, pick[None], 0)[0])
+
+    # the play under those choices, parents first
+    plays = val[0] >= quit_val[0] - TIE_TOL
+    on = np.zeros((n, len(keys)), dtype=bool)
+    on[0] = plays
+    for i, below in enumerate(kids):
+        if kind[i] == SELLER:
+            on[below] = on[i] & (mass[below] > MASS_TOL)
+        elif below:
+            on[below] = on[i] & (choice[i] == np.arange(len(below))[:, None])
+    ends = on & ((ct.kind == LEAF)[:, None] | (choice == QUIT))
+    # what each type pays, added up transfer by transfer in preorder
+    pays = np.flatnonzero(ct.kind == TRANSFER)
+    paid = sum(np.where(on[pays] & (choice[pays] == 0), ct.amount[pays, None] * mass[pays],
+                        0.0), np.zeros(len(keys)))
+
+    buyer_value, terminal, strategy, participates = {}, {}, {}, {}
     reach: dict = {i: {} for i in range(n)}
-    terminal: dict = {}
-    strategy: dict = {}
-    participates: dict = {}
-    revenue = 0.0
-
-    for (ti, bi), weight, belief in zip(view.index, view.weights, view.beliefs):
-        key = (instance.theta[ti], float(instance.budgets[bi]))
-        own_labels = (f"{key[0]}|{key[1]:.12g}", key[0])
-        limit = instance.budgets[bi] + BUDGET_TOL
-        uth = instance.utility[:, ti, :]
-
-        # path weights, parents first, of the nodes backward induction
-        # visits: none past a transfer the wallet cannot cover, nor under a
-        # buyer node with no mass
-        w: list = [belief.copy()] + [None] * (n - 1)
-        for i in range(n):
-            if w[i] is None or kind[i] == LEAF:
-                continue
-            if kind[i] == SELLER:
-                for j, c in enumerate(kids[i]):
-                    w[c] = w[i] * mats[i][:, j]
-            elif (w[i].sum() > MASS_TOL if kind[i] == BUYER else owed[i] <= limit):
-                for c in kids[i]:
-                    w[c] = w[i]
-
-        # values and choices, children before parents
-        val = [0.0] * n
-        choices: dict[int, object] = {}
-        for i in reversed(range(n)):
-            if w[i] is None:
-                continue
-            if kind[i] == SELLER:
-                val[i] = sum(val[c] for c in kids[i])
-                continue
-            quit_val = max((w[i] @ uth).tolist())
-            if kind[i] == LEAF:
-                val[i] = quit_val
-            elif kind[i] == TRANSFER:
-                pay_val = (val[kids[i][0]] - amount[i] * w[i].sum()
-                           if owed[i] <= limit else -np.inf)
-                # leaving is allowed before any payment, not only at buyer
-                # nodes; ties stay (mirrors the weak inequalities downstream)
-                choices[i] = "quit" if quit_val > pay_val + TIE_TOL else "pay"
-                val[i] = quit_val if choices[i] == "quit" else pay_val
-            else:
-                # buyer node: pick the best continuation, else walk away
-                vals = [val[c] if w[c] is not None else -np.inf for c in kids[i]]
-                best = max(vals, default=-np.inf)
-                if quit_val > best + TIE_TOL or not np.isfinite(best):
-                    choices[i], val[i] = "quit", quit_val
-                    continue
-                # indifference ladder: an option labeled with the buyer's own
-                # identity wins first (the buyer cooperates when it costs
-                # nothing), then staying beats quitting -- including through
-                # a child that itself quits immediately, since choosing that
-                # child is just quitting relocated -- then lowest index
-                tied = [j for j, v in enumerate(vals) if v >= best - TIE_TOL]
-                labels = nodes[i].labels
-                own = [j for j in tied if labels is not None and labels[j] in own_labels]
-                stay = [j for j in tied if choices.get(kids[i][j]) != "quit"]
-                pick = (own + stay + tied)[0]
-                choices[i], val[i] = pick, vals[pick]
-
-        outside = max((belief @ uth).tolist())
-        participate = val[0] >= outside - TIE_TOL
-        participates[key] = participate
-        buyer_value[key] = float(val[0] if participate else outside)
-
-        # the play under those choices, in preorder
-        ends: dict[int, float] = {}
-        paid_expect = 0.0
-        stack = [0] if participate else []
-        while stack:
-            i = stack.pop()
-            reach[i][key] = w[i].copy()
-            mass, pick = w[i].sum(), choices.get(i)
-            if kind[i] == LEAF or pick == "quit":
-                ends[i] = mass
-            elif kind[i] == SELLER:
-                stack += [c for c in reversed(kids[i]) if w[c].sum() > MASS_TOL]
-            elif pick == "pay":
-                paid_expect += amount[i] * mass
-                stack.append(kids[i][0])
-            else:
-                stack.append(kids[i][pick])
-        if not participate:
-            reach[0][key] = np.zeros(len(instance.omega))
-            ends[0] = 1.0
-
-        terminal[key] = ends
-        strategy[key] = choices
-        revenue += weight * paid_expect
-
-    return EvalResult(buyer_value=buyer_value, revenue=float(revenue),
+    decided = np.flatnonzero((ct.kind == TRANSFER) | (ct.kind == BUYER))[::-1]
+    for t, key in enumerate(keys):
+        participates[key] = bool(plays[t])
+        buyer_value[key] = float(val[0, t] if plays[t] else quit_val[0, t])
+        at = decided[seen[decided, t]].tolist()
+        strategy[key] = {i: "quit" if c == QUIT else "pay" if kind[i] == TRANSFER else c
+                         for i, c in zip(at, choice[at, t].tolist())}
+        if not plays[t]:
+            reach[0][key], terminal[key] = np.zeros(len(instance.omega)), {0: 1.0}
+            continue
+        for i in np.flatnonzero(on[:, t]).tolist():
+            reach[i][key] = w[i, t].copy()
+        terminal[key] = {i: mass[i, t] for i in np.flatnonzero(ends[:, t]).tolist()}
+    revenue = sum((view.weights * paid).tolist(), 0.0)   # type by type, in order
+    return EvalResult(buyer_value=buyer_value, revenue=revenue,
                       reach=reach, terminal=terminal, strategy=strategy,
-                      participates=participates, nodes=nodes)
+                      participates=participates, nodes=ct.nodes)
 
 
 # ---------------------------------------------------------------------------

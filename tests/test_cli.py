@@ -144,6 +144,14 @@ def test_sample_replications(box_file, capsys):
     assert "verify_certified_pass 2/2" in out
 
 
+def test_sample_refuses_negative_replications(box_file, capsys):
+    code = main(["sample", "--oracle", str(box_file), "--n", "100",
+                 "--eps", "0.1", "--replications", "-2"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == "error: --replications must be nonnegative\n"
+
+
 def test_sample_stream_oracle_requires_instance(box_file, tmp_path, capsys):
     stream = tmp_path / "s.jsonl"
     rows = [{"theta": "0", "omega": w, "b": 50.0} for w in ("0", "1")] * 300

@@ -108,6 +108,16 @@ def test_budget_levels_closer_than_budget_id_tells_apart_are_refused(box):
     assert np.array_equal(spaced.prior, box.prior)
 
 
+def test_an_instance_built_directly_validates_itself(box):
+    # the same levels load_instance refuses are refused without it
+    with pytest.raises(InputError, match="1e-09"):
+        Instance(box.omega, box.theta, box.actions, (50.0, 50.00000004),
+                 box.seller_budget, box.prior, box.utility)
+    with pytest.raises(InputError, match="prior shape"):
+        Instance(box.omega, box.theta, box.actions, box.budgets,
+                 box.seller_budget, box.prior[:, :, :1], box.utility)
+
+
 def test_label_lookup_errors(box):
     with pytest.raises(InputError):
         box.theta_id("nope")

@@ -503,6 +503,43 @@ def test_to_revelation_matches_the_recursive_rebuild(tree, instance, k):
     assert json.dumps(got) == json.dumps(want)
 
 
+def edge_case_buyers(box):
+    offer = TransferNode(30.0, full_info_seller(box))
+    return {
+        "no-children": BuyerNode(children=[]),
+        # the empty child quits, so the ladder stays through the leaf
+        "empty-buyer-child": BuyerNode(children=[BuyerNode(children=[]), Leaf()]),
+        # three offers at one price: each type takes the one naming it
+        "own-labels-at-tied-prices": BuyerNode(children=[offer, offer, offer],
+                                               labels=["other", "1|100", "0"]),
+    }
+
+
+@pytest.mark.parametrize("name", ["no-children", "empty-buyer-child",
+                                  "own-labels-at-tied-prices"])
+def test_evaluate_plays_edge_case_buyer_nodes(box, name):
+    tree = edge_case_buyers(box)[name]
+    test_evaluate_matches_the_recursive_walk(tree, box, None)
+    test_to_revelation_matches_the_recursive_rebuild(tree, box, None)
+    picks = {key: choices[0] for key, choices in evaluate(tree, box).strategy.items()}
+    assert picks == {"no-children": {("0", 50.0): "quit", ("1", 100.0): "quit"},
+                     "empty-buyer-child": {("0", 50.0): 1, ("1", 100.0): 1},
+                     "own-labels-at-tied-prices": {("0", 50.0): 2, ("1", 100.0): 1}}[name]
+
+
+def test_evaluate_matches_the_recursive_walk_at_fifteen_types():
+    # probr-large plays 15 (type, budget) pairs; stream_cases reach 12 at most
+    rng, draws = np.random.default_rng(20261020), []
+    while len(draws) < 3:
+        inst = random_correlated_instance(rng, max_states=5, max_types=5)
+        if len(positive_types(inst)) == 15:
+            draws.append(inst)
+    for inst in draws:
+        tree = mechanism_to_protocol(solve_cm_probr(inst), inst)
+        for played in (tree, to_revelation(tree, inst)):
+            test_evaluate_matches_the_recursive_walk(played, inst, None)
+
+
 # -- trees deeper than the recursion limit -------------------------------------
 
 def test_every_walker_runs_a_chain_deeper_than_the_recursion_limit(box):
