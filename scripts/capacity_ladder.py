@@ -1,14 +1,17 @@
-"""Capacity ladder of the probabilistic-return solver: the largest instance
-solve_cm_probr finishes within a time budget.
+"""Capacity ladder of a solver: the largest instance solve_cm_probr (or
+solve_cm_depr) finishes within a time budget.
 
 The ladder walks fixed (states, types, actions, budgets) sizes, solving 3
-seeded correlated draws of perfbench's exact_instance per rung, each in a
-child process stopped soon after the budget. It stops after the first rung whose
-median time exceeds the budget and prints one JSON object: the commit of
-the infosale its children import, the host, and per rung the median seconds, the
-whole LP's rows, columns and nonzeros and each draw's verify_all verdict.
+seeded draws of perfbench's exact_instance per rung (correlated for probr,
+independent for depr), each in a child process stopped soon after the
+budget. It stops after the first rung whose median time exceeds the budget
+and prints one JSON object: the commit of the infosale its children import,
+the host, and per rung the median seconds, the whole LP's rows, columns and
+nonzeros, and per draw the seconds, HiGHS runs, rows HiGHS held at the
+optimum and verify_all verdict.
 
     PYTHONPATH=src python scripts/capacity_ladder.py --budget-s 60 --seed 1
+    PYTHONPATH=src python scripts/capacity_ladder.py --solver depr --seed 1
 """
 
 import argparse
@@ -29,40 +32,51 @@ DRAWS = 3
 CHILD_ALLOWANCE_S = 10.0
 
 
-def solve_one(size, seed: int, draw: int) -> None:
+def solve_one(solver: str, size, seed: int, draw: int) -> None:
     """Solve one draw in this process. Prints two JSON lines: the whole LP's
     size (first, so that a child stopped at the budget still reports it),
-    then the solve's seconds and verify_all verdict.
+    then the solve's seconds, HiGHS runs and rows, and verify_all verdict.
+    The size is read from the program the solver hands lpcore, and the time
+    spent reading it is left out of the seconds.
 
     Only the children import the library, so the ladder itself starts fast.
     """
     import numpy as np
 
-    from infosale import prior_view, solve_cm_probr, verify_all
-    from infosale.mechanisms import _pair_arrays, build_prob_return_lp
+    import infosale
+    from infosale.lpcore import LinearProgram
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
     from workloads import exact_instance
 
-    inst = exact_instance(np.random.default_rng([seed, draw, *size]), size, correlated=True)
-    view = prior_view(inst)
-    _, b, util = _pair_arrays(view)
-    whole = build_prob_return_lp(util, b, view.beliefs, view.joint,
-                                 inst.seller_budget)[0]._assemble()
-    matrices = [whole[k] for k in ("A_ub", "A_eq") if whole[k] is not None]
-    print(json.dumps({"entries": len(view.index), "rows": sum(a.shape[0] for a in matrices),
-                      "cols": len(whole["c"]), "nnz": sum(a.nnz for a in matrices)}), flush=True)
+    inst = exact_instance(np.random.default_rng([seed, draw, *size]), size,
+                          correlated=solver == "probr")
+    solve, sizing, runs = LinearProgram.solve, [], {}
+
+    def sized_solve(lp):
+        start = time.perf_counter()
+        whole = lp._assemble()
+        matrices = [whole[k] for k in ("A_ub", "A_eq") if whole[k] is not None]
+        print(json.dumps({"entries": len(infosale.prior_view(inst).index),
+                          "rows": sum(a.shape[0] for a in matrices), "cols": len(whole["c"]),
+                          "nnz": sum(a.nnz for a in matrices)}), flush=True)
+        sizing.append(time.perf_counter() - start)
+        sol = solve(lp)
+        runs.update(rounds=sol.rounds, model_rows=sol.rows)
+        return sol
+
+    LinearProgram.solve = sized_solve
     start = time.perf_counter()
-    mech = solve_cm_probr(inst)
-    seconds = time.perf_counter() - start
-    report = verify_all(mech, inst, eps=0.0, tol=1e-6)
-    print(json.dumps({"seconds": seconds, "verdict": "pass" if report.passed else "fail: " + ", ".join(
-        c.name for c in report.checks if not c.passed)}))
+    mech = getattr(infosale, f"solve_cm_{solver}")(inst)
+    seconds = time.perf_counter() - start - sum(sizing)
+    report = infosale.verify_all(mech, inst, eps=0.0, tol=1e-6)
+    print(json.dumps({"seconds": seconds, **runs, "verdict": "pass" if report.passed else
+                      "fail: " + ", ".join(c.name for c in report.checks if not c.passed)}))
 
 
-def _child(size, seed: int, draw: int, budget: float) -> dict:
+def _child(solver: str, size, seed: int, draw: int, budget: float) -> dict:
     """One draw in a child process, stopped after the budget plus
     CHILD_ALLOWANCE_S for its import, assembly and verification."""
-    argv = [sys.executable, __file__, "--solve", ",".join(map(str, size)),
+    argv = [sys.executable, __file__, "--solver", solver, "--solve", ",".join(map(str, size)),
             "--seed", str(seed), "--draw", str(draw)]
     try:
         done = subprocess.run(argv, capture_output=True, text=True,
@@ -95,12 +109,12 @@ def _commit() -> str | None:
     return done.stdout.strip() or None
 
 
-def ladder(budget: float, seed: int) -> dict:
+def ladder(budget: float, seed: int, solver: str = "probr") -> dict:
     out = []
     for size in RUNGS:
         draws = []
         for draw in range(DRAWS):
-            draws.append(_child(size, seed, draw, budget))
+            draws.append(_child(solver, size, seed, draw, budget))
             over = [d["seconds"] is None or d["seconds"] > budget for d in draws]
             if sum(over) > DRAWS // 2:      # the median is over already
                 break
@@ -111,11 +125,12 @@ def ladder(budget: float, seed: int) -> dict:
                     **{k: draws[0].get(k) for k in ("entries", "rows", "cols", "nnz")},
                     "median_s": median if median != float("inf") else None,
                     "seconds": [d["seconds"] for d in draws],
+                    **{k: [d.get(k) for d in draws] for k in ("rounds", "model_rows")},
                     "verdicts": [d["verdict"] for d in draws]})
         if median > budget:
             break
     solved = [r for r in out if r["median_s"] is not None and r["median_s"] <= budget]
-    return {"solver": "probr", "budget_s": budget, "seed": seed, "commit": _commit(),
+    return {"solver": solver, "budget_s": budget, "seed": seed, "commit": _commit(),
             "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
                      "python": platform.python_version(),
                      **{name: importlib.metadata.version(name) for name in ("numpy", "scipy")}},
@@ -128,13 +143,17 @@ def main() -> None:
     parser.add_argument("--budget-s", type=float, default=60.0,
                         help="seconds allowed per solve (default 60)")
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--solver", choices=("probr", "depr"), default="probr",
+                        help="solve_cm_probr on correlated draws (default) or "
+                             "solve_cm_depr on independent ones")
     parser.add_argument("--solve", help=argparse.SUPPRESS)
     parser.add_argument("--draw", type=int, default=0, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.solve:
-        solve_one(tuple(int(k) for k in args.solve.split(",")), args.seed, args.draw)
+        solve_one(args.solver, tuple(int(k) for k in args.solve.split(",")), args.seed,
+                  args.draw)
     else:
-        print(json.dumps(ladder(args.budget_s, args.seed), indent=1))
+        print(json.dumps(ladder(args.budget_s, args.seed, args.solver), indent=1))
 
 
 if __name__ == "__main__":

@@ -99,6 +99,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if not (np.isfinite(args.eps) and args.eps >= 0):
+        raise InputError("--eps must be finite and nonnegative")
     instance = _load_instance(args.instance)
     mech = mechanism_from_json_dict(_read_json(args.mechanism_file), instance)
     report = verify_all(mech, instance, eps=args.eps)
@@ -107,6 +109,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.trials < 0:
+        raise InputError("--trials must be nonnegative")
+    if args.seed < 0:
+        raise InputError("--seed must be nonnegative")
     instance = _load_instance(args.instance)
     if args.protocol:
         tree = parse_protocol(_read_json(args.protocol))
@@ -148,6 +154,10 @@ def _open_oracle(args, rng: np.random.Generator):
 def cmd_sample(args) -> int:
     if args.replications < 0:
         raise InputError("--replications must be nonnegative")
+    if args.n < 1:
+        raise InputError("--n must be at least 1")
+    if args.seed < 0:
+        raise InputError("--seed must be nonnegative")
     rng = np.random.default_rng(args.seed)
     oracle, shape = _open_oracle(args, rng)
     M = shape.seller_budget

@@ -15,11 +15,16 @@ A family of inequality rows can be held back: HiGHS then starts from the
 family's start rows and, on one live model that keeps its basis, re-solves
 after adding the worst violated missing row along the row grid's last axis,
 until no missing row is violated (Kelley's cutting-plane method, J. SIAM 8,
-1960). The re-check still covers every row, held back or not.
+1960). The re-check still covers every row, held back or not. A program
+with an integer column goes to HiGHS whole, held-back rows included, with
+file descriptor 1 pointed at os.devnull while its branch-and-bound runs.
 """
 
 from __future__ import annotations
 
+import os
+import sys
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,6 +60,21 @@ class LPSolution:
 # what linprog(method="highs") sets: dual simplex after presolve, no output
 _HIGHS_OPTIONS = (("presolve", "on"), ("simplex_strategy", 1), ("output_flag", False),
                   ("log_to_console", False))
+
+
+@contextmanager
+def _quiet_stdout():
+    """File descriptor 1 pointed at os.devnull for the block: HiGHS's
+    branch-and-bound can print there from C, whatever its output options."""
+    sys.stdout.flush()
+    saved = os.dup(1)
+    try:
+        with open(os.devnull, "wb") as null:
+            os.dup2(null.fileno(), 1)
+        yield
+    finally:
+        os.dup2(saved, 1)
+        os.close(saved)
 
 
 def _label(name: str, shape: tuple, flat: int) -> str:
@@ -166,16 +186,20 @@ class LinearProgram:
         """
         lp = self._assemble()
         c = -lp["c"] if self.maximize else lp["c"]
-        held = self._held(lp)
+        # a mixed-integer program goes whole: the live model would cut its
+        # held-back rows into the relaxation, not the program
+        mip = lp["integer"].any()
+        held = [] if mip else self._held(lp)
         if held:
             values, rounds, rows = self._solve_live(c, lp, held)
         else:
             # HiGHS's default relative gap (1e-4) would let branch-and-bound
             # stop at a visibly worse answer
-            result = linprog(c, A_ub=lp["A_ub"], b_ub=lp["b_ub"], A_eq=lp["A_eq"],
-                             b_eq=lp["b_eq"], bounds=np.column_stack([lp["lb"], lp["ub"]]),
-                             method="highs", integrality=lp["integer"],
-                             options={"mip_rel_gap": 1e-9})
+            with _quiet_stdout() if mip else nullcontext():
+                result = linprog(c, A_ub=lp["A_ub"], b_ub=lp["b_ub"], A_eq=lp["A_eq"],
+                                 b_eq=lp["b_eq"], bounds=np.column_stack([lp["lb"], lp["ub"]]),
+                                 method="highs", integrality=lp["integer"],
+                                 options={"mip_rel_gap": 1e-9})
             if result.status == 2:
                 raise SolverFailure(f"{self.name}: program infeasible", status=INFEASIBLE)
             if result.status == 3:

@@ -24,12 +24,13 @@ Menu.blocks, Menu.cost and Menu.find (with lookup, its form for many buyers)
 hold every difference between the kinds; revenue, buyer utility,
 verification and the protocol embedding read a menu only through them.
 menu_values is the one table of a menu's values against a prior, which
-verification, expected revenue and the revenue cap read. The first three solvers require the state to be
-independent of (type, budget) and share one LP builder, differing only in the
-menu, weights, truthfulness pairs and price boxes they pass it. The
-probabilistic-return LP handles correlated priors and solves over a
-model.PriorView: solve_cm_probr is the sampling module's eps-slack LP at
-eps = 0 over the instance's own view. One kernel cleanup serves every family.
+verification, expected revenue and the revenue cap read. Every solver builds
+one menu LP (_add_menu_model) and solves, cleans and prices it with one step
+(_solve_menu); the kinds pass only their transfer blocks, beliefs,
+truthfulness pairs and price boxes. The first three require the state to be
+independent of (type, budget); probr handles correlated priors over any
+model.PriorView, and solve_cm_probr is the sampling module's eps-slack LP at
+eps = 0 over the instance's own view.
 """
 
 from __future__ import annotations
@@ -130,7 +131,8 @@ class Menu:
 
 def affordable(cost, b):
     """Whether a wallet of b covers cost, up to 1e-9: the one affordability
-    rule of buyers, checks and single-round cutoffs (arrays broadcast)."""
+    rule of buyers, checks and the probabilistic-return LP's report pairs
+    (arrays broadcast)."""
     return cost <= b + 1e-9
 
 
@@ -186,25 +188,6 @@ def _join(grid: tuple, *parts) -> np.ndarray:
     return np.concatenate([np.broadcast_to(x, grid + x.shape[-1:]) for x in parts], axis=-1)
 
 
-def _add_interleaved(lp: LinearProgram, name: str, *tables) -> None:
-    """Add row tables (owner, sense, cols, coefs, rhs) to lp as one >= family.
-
-    cols is (rows, terms); coefs, rhs and owner broadcast to it. Rows run in
-    order of owner and, within one owner, of table; a <= table is negated,
-    and a row shorter than the widest is padded with column -1 (no term).
-    """
-    width = max(cols.shape[1] for _, _, cols, _, _ in tables)
-    parts = [(np.broadcast_to(owner, len(cols)),
-              np.pad(cols, ((0, 0), (0, width - cols.shape[1])), constant_values=-1),
-              np.pad(sign * np.broadcast_to(coefs, cols.shape), ((0, 0), (0, width - cols.shape[1]))),
-              sign * np.broadcast_to(rhs, len(cols)))
-             for owner, sense, cols, coefs, rhs in tables
-             for sign in [-1.0 if sense == "<=" else 1.0]]
-    owner, cols, coefs, rhs = (np.concatenate(x) for x in zip(*parts))
-    order = np.argsort(owner, kind="stable")
-    lp.add_rows(name, cols[order], coefs[order], ">=", rhs[order])
-
-
 def _menu_labels(view: PriorView) -> tuple[tuple[str, float], ...]:
     return tuple((view.instance.theta[ti], view.instance.budgets[bi]) for ti, bi in view.index)
 
@@ -217,91 +200,128 @@ def _pair_arrays(view: PriorView):
     return ti, np.array(inst.budgets, dtype=float)[bi], inst.utility[:, ti, :].transpose(1, 0, 2)
 
 
-# ---------------------------------------------------------------------------
-# deposit-return / direct-payment family (independent prior)
-# ---------------------------------------------------------------------------
+# the largest menu whose LP reaches HiGHS whole, through linprog, as every
+# program pinned in tests/fixtures/lp_digests.json and perfbench does: 12
+# entries is the most random_*_instance draws at its default maxima. Not a
+# speed crossover: the held-back path is faster at 12 entries and below too.
+HOLD_BACK_ABOVE = 12
 
 
-def _add_deposit_model(lp: LinearProgram, instance: Instance, types, weights, ic_pairs,
-                       lo, hi, ic_relax=None):
-    """Common model of the direct, deposit and single-round menus, added to lp.
+def _add_menu_model(lp: LinearProgram, util, belief, joint, tau, ic_pairs, share,
+                    price=None, eps: float = 0.0, relax=None):
+    """The LP of a menu of transfer lotteries, added to lp; every solver's.
 
-    `types` gives each menu entry's theta index and `weights` its revenue
-    weight. Columns: a recommendation kernel p_i(omega, a) and a price t_i
-    per menu entry i, plus epigraph columns z linearizing the deviator's
-    per-recommendation best response. `ic_pairs`, an (n, 2) array, lists the
-    (truth i, report j) constraints to impose; `lo` and `hi` (arrays or
-    scalars) box the prices; `ic_relax`, a (columns, coefficients) pair of
-    arrays with one row per pair (column -1 for no term), adds terms to the
-    truthfulness rows. The evaluation measure everywhere is the common
-    state prior. Returns the column-id arrays (p, t) and the entries'
-    (m, n_omega, n_actions) utility rows.
+    Entry i of m draws recommendation a in state w from block k with chance
+    p[i, w, k, a], and the buyer pays that block's tau[i, k], plus a price
+    t_i in [lo, hi] earning weights @ t when price = (weights, lo, hi).
+    util (m, n_omega, n_actions) and belief (m, n_omega) are each entry's
+    utility rows and belief; joint (m, n_omega) weighs the block transfers
+    in the objective. Truth i beats report j for each pair of ic_pairs
+    (n, 2), whose rows get relax = (columns, coefficients) added, one row
+    per pair (column -1 for no term); eps slackens obedience, participation
+    and truthfulness.
+
+    Entries of one `share` class (one type, one belief) value a report
+    alike, so per (class, report) key, the diagonal included, z[key, k, a]
+    bounds what recommendation (k, a) is worth under its best remap a -> a2.
+    T_i, the truthful value, sums its own key's z and is capped by the
+    obedient value, so every recommendation is worth following. Past
+    HOLD_BACK_ABOVE entries the z rows are held back (lpcore), starting from
+    the obey rows (a2 = a), which bound every z from below.
+
+    Returns the column ids of p (m, n_omega, K, n_actions) and t (or None).
     """
-    mu_w = instance.omega_marginal()
-    nw, na = len(instance.omega), len(instance.actions)
-    m, n_pairs = len(types), len(ic_pairs)
-    util = instance.utility[:, types, :].transpose(1, 0, 2)            # (m, nw, na)
+    (m, nw, na), K = util.shape, tau.shape[1]
+    p = lp.add_block("p", (m, nw, K, na), 0.0, 1.0)
+    gain = util[:, :, None, :] - tau[:, None, :, None]                 # (m, nw, K, na)
+    t = lp.add_block("t", m, *price[1:]) if price else None
+    tcol = np.full(m, -1) if t is None else t                          # -1: no term
+    lp.set_objective(np.append(p, tcol[tcol >= 0]),
+                     np.append(np.broadcast_to(joint[:, :, None, None] * tau[:, None, :, None],
+                                               p.shape), price[0] if price else []))
 
-    p = lp.add_block("p", (m, nw, na), 0.0, 1.0)
-    t = lp.add_block("t", m, lo, hi)
-    lp.set_objective(t, weights)
-    lp.add_rows("rowsum", p, 1.0, "==", 1.0)
+    i, j = np.asarray(ic_pairs, dtype=int).reshape(-1, 2).T
+    owner, report = np.concatenate([np.arange(m), i]), np.concatenate([np.arange(m), j])
+    codes, first, key = np.unique(np.asarray(share)[owner] * m + report,
+                                  return_index=True, return_inverse=True)
+    deviator, reported = owner[first], codes % m
+    z = lp.add_block("z", (len(codes), K, na), None, None)
+    T = lp.add_block("T", m, None, None)
+    width = K * na
 
-    # following the recommendation beats any remap a -> a2, state by state in
-    # expectation under the prior
-    entries = np.arange(m)
-    a, a2 = np.nonzero(~np.eye(na, dtype=bool))
-    ob = (mu_w[:, None] * (util[:, :, a] - util[:, :, a2])).transpose(0, 2, 1)
-    # participating truthfully beats acting on the prior alone; vecdot takes
-    # one BLAS dot per utility column, whose sums tests/test_lp_digests.py pins
-    truth = (mu_w[:, None] * util).reshape(m, nw * na)
-    outside = np.vecdot(mu_w, util.transpose(0, 2, 1))                # (m, na)
-    _add_interleaved(
-        lp, "entry",
-        (entries.repeat(len(a)), ">=", p[:, :, a].transpose(0, 2, 1).reshape(-1, nw),
-         ob.reshape(-1, nw), 0.0),
-        (entries.repeat(na), ">=", _join((m,), p.reshape(m, -1), t[:, None]).repeat(na, axis=0),
-         _join((m,), truth, -1.0).repeat(na, axis=0), outside.ravel()))
+    lp.add_rows("rowsum", p.reshape(m, nw, width), 1.0, "==", 1.0)
+    lp.add_rows("tdef", _join((m,), T[:, None], z[key[:m]].reshape(m, width)),
+                _join((m,), 1.0, -np.ones(width)), "==", 0.0)
+    lp.add_rows("obey", _join((m,), T[:, None], p.reshape(m, -1)),
+                _join((m,), 1.0, -(belief[:, :, None, None] * gain).reshape(m, -1)), "<=", eps)
+    # participating beats acting on the belief alone; vecdot takes one BLAS
+    # dot per utility column, whose sums tests/test_lp_digests.py pins
+    outside = np.vecdot(belief[:, None, :], util.transpose(0, 2, 1))   # (m, na)
+    lp.add_rows("ir", _join((m, na), T[:, None, None], tcol[:, None, None]),
+                _join((m, na), 1.0, -1.0), ">=", outside - eps)
+    n = len(i)
+    relax_cols, relax_coefs = relax or (np.zeros((n, 0), int), np.zeros((n, 0)))
+    lp.add_rows("ic", _join((n,), T[i][:, None], tcol[i][:, None], z[key[m:]].reshape(n, width),
+                            tcol[j][:, None], relax_cols),
+                _join((n,), 1.0, -1.0, -np.ones(width), 1.0, relax_coefs), ">=", -eps)
+    # z[key, k, a] >= what remapping recommendation (k, a) of the key's
+    # report to a2 is worth to the key's deviator, over the grid (key, k, a, a2)
+    dev = -belief[deviator][:, :, None, None] * (           # (key, w, k, a2)
+        util[deviator][:, :, None, :] - tau[reported][:, None, :, None])
+    grid = (len(codes), K, na, na)
+    lp.add_rows("zdef", _join(grid, z[:, :, :, None, None],
+                              p[reported].transpose(0, 2, 3, 1)[:, :, :, None]),
+                _join(grid, 1.0, dev.transpose(0, 2, 3, 1)[:, :, None]), ">=", 0.0,
+                start=np.eye(na, dtype=bool) if m > HOLD_BACK_ABOVE else None)
+    return p, t
 
-    # deviation epigraphs are shared across true budgets: the deviator's
-    # value against report j depends only on their type's utility row; each
-    # epigraph's rows come just before the first truthfulness row using it
-    i, j = ic_pairs.T
-    keys = {}
-    key = np.array([keys.setdefault(k, len(keys)) for k in zip(types[i].tolist(), j.tolist())],
-                   dtype=int)
-    first = np.unique(key, return_index=True)[1]                        # each key's first pair
-    z = lp.add_block("z", (len(keys), na), None, None)
-    grid = (len(keys), na, na)                                          # (key, a, a2)
-    relax_cols, relax_coefs = ic_relax or (np.zeros((n_pairs, 0), int), np.zeros((n_pairs, 0)))
-    _add_interleaved(
-        lp, "pair",
-        (first.repeat(na * na), ">=",
-         _join(grid, z[:, :, None, None], p[j[first]].transpose(0, 2, 1)[:, :, None]
-               ).reshape(-1, 1 + nw),
-         _join(grid, 1.0, (-mu_w * util[i[first]].transpose(0, 2, 1))[:, None]).reshape(-1, 1 + nw),
-         0.0),
-        (np.arange(n_pairs), ">=",
-         _join((n_pairs,), p.reshape(m, -1)[i], t[i][:, None], z[key], t[j][:, None], relax_cols),
-         _join((n_pairs,), truth[i], -1.0, -np.ones(na), 1.0, relax_coefs), 0.0))
-    return p, t, util
+
+def _solve_menu(kind: str, labels, lp: LinearProgram, p, menu, t=None, weights=None,
+                seller_budget: float = 0.0) -> Menu:
+    """Solve a menu LP built from menu = (util, belief, joint, tau) (see
+    _add_menu_model), clean its kernel and price it: each entry's truthful
+    utility under its own belief, and the take, its block transfers summed
+    entry by entry in menu order (one sum of all would round differently)."""
+    util, belief, joint, tau = menu
+    sol = lp.solve()
+    m, nw, K, na = p.shape
+    kernel = _clean_kernel(sol.values[p].reshape(m, nw, K * na), belief, util)
+    blocks = kernel.reshape(m, nw, K, na)
+    prices = np.zeros(m) if t is None else sol.values[t]
+    utilities = sum(np.einsum("iw,iwa->i", belief, blocks[:, :, k] * (util - tau[:, k, None, None]))
+                    for k in range(K)) - prices
+    taken = np.einsum("iw,iwa->i", joint, (tau[:, None, :, None] * blocks).sum(axis=2))
+    revenue = float(sum(taken.tolist())) + (0.0 if t is None else float(weights @ prices))
+    return Menu(kind, labels, tau[:, 0] if t is None else prices, kernel, utilities, revenue,
+                float(seller_budget))
+
+
+# ---------------------------------------------------------------------------
+# one-price menus: depr, dirp and single-round (independent prior)
+# ---------------------------------------------------------------------------
 
 
 _LP_NAMES = {"depr": "deposit-return", "dirp": "direct-payment", "single-round": "single-round"}
 
 
+def _one_price(instance: Instance, types, weights):
+    """(util, belief, joint, tau) of a one-price menu whose entries have the
+    given types and revenue weights: every entry believes the common state
+    prior, and its one transfer block charges nothing beyond the price."""
+    mu_w = instance.omega_marginal()
+    m = len(types)
+    return (instance.utility[:, types, :].transpose(1, 0, 2), np.broadcast_to(mu_w, (m, len(mu_w))),
+            np.asarray(weights)[:, None] * mu_w, np.zeros((m, 1)))
+
+
 def _solve_deposit_family(kind: str, instance: Instance, labels, types, weights, ic_pairs,
                           lo, hi) -> Menu:
-    """Solve the common LP (see _add_deposit_model), clean its kernel and
-    price the menu."""
-    mu_w = instance.omega_marginal()
+    """The optimal one-price menu over entries of the given types, truthful
+    over ic_pairs, with prices in [lo, hi]; entries of one type share z."""
+    menu = _one_price(instance, types, weights)
     lp = LinearProgram(_LP_NAMES[kind])
-    p, t, util = _add_deposit_model(lp, instance, types, weights, ic_pairs, lo, hi)
-    sol = lp.solve()
-    kernel = _clean_kernel(sol.values[p], np.broadcast_to(mu_w, (len(types), len(mu_w))), util)
-    prices = sol.values[t].astype(float)
-    return Menu(kind, labels, prices, kernel,
-                np.einsum("w,iwa,iwa->i", mu_w, kernel, util) - prices, float(weights @ prices))
+    p, t = _add_menu_model(lp, *menu, ic_pairs, types, (weights, lo, hi))
+    return _solve_menu(kind, labels, lp, p, menu, t, weights)
 
 
 def solve_cm_depr(instance: Instance) -> Menu:
@@ -363,20 +383,19 @@ def _affordability_pattern(instance: Instance, types, b, weights) -> np.ndarray:
     y = np.full(own.shape, -1)
     y[own] = lp.add_block("y", int(own.sum()), 0.0, 1.0, integer=True)
     ic_pairs = np.argwhere(~np.eye(m, dtype=bool))
-    i, j = ic_pairs.T
-    relax = np.where(levels > b[i][:, None], y[j], -1)
-    _, t, _ = _add_deposit_model(lp, instance, types, weights, ic_pairs, -M, b,
-                                 (relax, np.full(relax.shape, big)))
+    relax = np.where(levels > b[ic_pairs[:, :1]], y[ic_pairs[:, 1]], -1)
+    _, t = _add_menu_model(lp, *_one_price(instance, types, weights), ic_pairs, types,
+                           (weights, -M, b), relax=(relax, np.full(relax.shape, big)))
     lp.add_rows("pick", y, 1.0, "==", 1.0)
     price = _join((m,), t[:, None], y)
-    _add_interleaved(lp, "price",
-                     (np.arange(m), "<=", price, _join((m,), 1.0, -levels), 0.0),
-                     (np.arange(m), ">=", price, _join((m,), 1.0, -floors), 0.0))
+    lp.add_rows("cap", price, _join((m,), 1.0, -levels), "<=", 0.0)
+    lp.add_rows("floor", price, _join((m,), 1.0, -floors), ">=", 0.0)
     sol = lp.solve()
-    # the cheapest level that affords each price; a price that sits on a
-    # level within the integrality tolerance belongs to that level, whatever
-    # y says
-    below = ~affordable(sol.values[t][:, None], levels)
+    # the cheapest level that affords each price; a price at most 1e-7 above
+    # a level, where the level's floor sits, belongs to that level whatever
+    # y says: the program's optimum is only known within its gap, and the
+    # floor's pattern can fall short of the level's
+    below = sol.values[t][:, None] > levels + 1e-7
     return np.minimum(below.sum(axis=1), own.sum(axis=1) - 1)
 
 
@@ -384,12 +403,10 @@ def solve_single_round(instance: Instance) -> Menu:
     """Best single direct payment with an *unverified* budget report.
 
     A deviation to report (theta', b') is available exactly when its price
-    fits the true wallet (t_{theta',b'} <= b), which depends on the prices
-    being chosen — a union of polyhedra, one per affordability pattern (each
-    menu item's price confined between two adjacent budget levels, which
-    pins down who can afford it). One mixed-integer program picks the best
-    pattern (see _affordability_pattern); the pattern's own LP, with only
-    the truthfulness pairs it makes affordable, then gives the menu.
+    fits the true wallet (t_{theta',b'} <= b), so which deviations exist
+    depends on the prices. One mixed-integer program picks the best
+    affordability pattern (_affordability_pattern); the pattern's own LP,
+    with only the truthfulness pairs it makes affordable, gives the menu.
     Diagnostic companion to solve_cm_depr showing what verified deposits
     buy the seller.
     """
@@ -413,17 +430,8 @@ def solve_single_round(instance: Instance) -> Menu:
 
 
 # ---------------------------------------------------------------------------
-# probabilistic-return family (arbitrary prior)
+# probabilistic return (arbitrary prior)
 # ---------------------------------------------------------------------------
-
-
-# the largest menu whose probabilistic-return LP reaches HiGHS whole, through
-# linprog. It keeps every pinned program there: the digests of
-# tests/fixtures/lp_digests.json and perfbench's single linprog span for the
-# treasure box. 12 entries (4 types x 3 budgets) is the most random_*_instance
-# draws at its default maxima. Not a speed crossover: the held-back path is
-# faster at 12 entries and below too.
-HOLD_BACK_ABOVE = 12
 
 
 def build_prob_return_lp(util: np.ndarray, b: np.ndarray, cond: np.ndarray,
@@ -437,86 +445,28 @@ def build_prob_return_lp(util: np.ndarray, b: np.ndarray, cond: np.ndarray,
     eps:        slack applied to the truthfulness / participation /
                 recommendation-following rows (0 = exact program).
 
-    Returns (lp, p) with p the kernel's column ids, shaped
-    (len(b), n_omega, n_actions, 2): block 0 keeps the deposit, block 1
-    refunds it plus M. Shared by the exact solver and the empirical-belief
-    solver, which differ only in the belief data and eps. Past
-    HOLD_BACK_ABOVE entries the deviation rows are held back (see
-    lpcore.LinearProgram.add_rows); the optimum is that of the whole program.
+    Returns (lp, p), p the kernel's column ids (len(b), n_omega, 2,
+    n_actions): block 0 keeps the deposit, block 1 refunds it plus M (see
+    _add_menu_model; each entry is its own class, and truth beats every
+    report whose deposit it affords). The exact and the empirical-belief
+    solvers differ only in the belief data and eps.
     """
-    m, nw, na = util.shape
-    M = seller_budget
     lp = LinearProgram("prob-return")
-
-    # p[..., 0] keeps the deposit ("+"), p[..., 1] returns it plus M ("-")
-    p = lp.add_block("p", (m, nw, na, 2), 0.0, 1.0)
-    # menu pairs (truth i, report j) with the report's deposit affordable
-    pi, pj = np.nonzero(affordable(b[None, :], b[:, None]))
-    U = np.full((m, m), -1)
-    U[pi, pj] = lp.add_block("U", len(pi), None, None)
-    z = lp.add_block("z", (len(pi), 2, na), None, None)
-
-    lp.set_objective(p, np.stack([joint * b[:, None], -joint * M], axis=-1)[:, :, None])
-    lp.add_rows("rowsum", p.reshape(m, nw, 2 * na), 1.0, "==", 1.0)
-
-    entries, off = np.arange(m), pi != pj
-    diag = U[entries, entries]
-    ob = -cond[:, :, None, None] * np.stack([util - b[:, None, None], util + M], axis=-1)
-    outside = np.vecdot(cond[:, None, :], util.transpose(0, 2, 1))   # see _add_deposit_model
-    _add_interleaved(
-        lp, "entry",
-        # truth beats any affordable misreport
-        (pi[off], ">=", np.stack([diag[pi[off]], U[pi[off], pj[off]]], axis=1),
-         [1.0, -1.0], -eps),
-        # truth beats acting on the belief alone
-        (entries.repeat(na), ">=", diag.repeat(na)[:, None], 1.0, outside.ravel() - eps),
-        # the diagonal U is capped by the obedient utility: with the epigraph
-        # lower bounds below, this is what forces recommendations to be
-        # worth following
-        (entries, "<=", _join((m,), diag[:, None], p.reshape(m, -1)),
-         _join((m,), 1.0, ob.reshape(m, -1)), eps))
-
-    # U[i,j] equals the report's value under the best per-recommendation
-    # remap a -> a2, one epigraph column z per (pair, block, a); the deposit
-    # forfeited on "+" is the *reported* budget
-    lp.add_rows("udef", _join((len(pi),), U[pi, pj][:, None], z.reshape(len(pi), 2 * na)),
-                _join((len(pi),), 1.0, -np.ones(2 * na)), "==", 0.0)
-    dev = -cond[pi][:, :, None, None] * np.stack(
-        [util[pi] - b[pj][:, None, None], util[pi] + M], axis=-1)      # (pair, w, a2, block)
-    grid = (len(pi), na, na, 2)                                         # (pair, a, a2, block)
-    cols = _join(grid, z.transpose(0, 2, 1)[:, :, None, :, None],
-                 p[pj].transpose(0, 2, 3, 1)[:, :, None])
-    coefs = _join(grid, 1.0, dev.transpose(0, 2, 3, 1)[:, None])
-    obey = None
-    if m > HOLD_BACK_ABOVE:
-        # held back, the remap rows are picked along a2, the grid's last axis
-        # then, and start from the obey rows (a2 = a), which bound every z
-        # from below and so keep the restricted program bounded
-        cols, coefs = cols.swapaxes(2, 3), coefs.swapaxes(2, 3)
-        obey = np.eye(na, dtype=bool)[:, None, :]
-    lp.add_rows("zdef", cols, coefs, ">=", 0.0, start=obey)
-    return lp, p
+    m = len(b)
+    ic_pairs = np.argwhere(affordable(b[None, :], b[:, None]) & ~np.eye(m, dtype=bool))
+    tau = np.stack([b, np.full(m, -float(seller_budget))], axis=1)
+    return lp, _add_menu_model(lp, util, cond, joint, tau, ic_pairs, np.arange(m), eps=eps)[0]
 
 
 def solve_prob_return(view: PriorView, M: float, eps: float = 0.0) -> Menu:
-    """Build, solve and clean the probabilistic-return LP over a prior view
-    (see build_prob_return_lp), then price the cleaned menu: each entry's
-    truthful utility under its own belief and the joint-weighted revenue.
-    The menu is the view's index; its instance supplies utilities and labels.
-    """
-    cond, joint = view.beliefs, view.joint
+    """The probabilistic-return menu over a prior view (build_prob_return_lp,
+    _solve_menu): its entries are the view's index, and its instance
+    supplies utilities and labels."""
     _, b, util = _pair_arrays(view)
-    lp, p = build_prob_return_lp(util, b, cond, joint, M, eps=eps)
-    rows = lp.solve().values[p].transpose(0, 1, 3, 2).reshape(*p.shape[:2], 2 * p.shape[2])
-    kernel = _clean_kernel(rows, cond, util)
-    pay, refund = np.split(kernel, 2, axis=-1)
-    utilities = (np.einsum("iw,iwa->i", cond, pay * (util - b[:, None, None]))
-                 + np.einsum("iw,iwa->i", cond, refund * (util + M)))
-    # entry by entry, summed in menu order: one sum over every entry would
-    # round differently
-    taken = np.einsum("iw,iwa->i", joint, b[:, None, None] * pay - M * refund)
-    return Menu("probr", _menu_labels(view), b, kernel, utilities,
-                float(sum(taken.tolist())), float(M))
+    lp, p = build_prob_return_lp(util, b, view.beliefs, view.joint, M, eps=eps)
+    tau = np.stack([b, np.full(len(b), -float(M))], axis=1)
+    return _solve_menu("probr", _menu_labels(view), lp, p, (util, view.beliefs, view.joint, tau),
+                       seller_budget=M)
 
 
 def solve_cm_probr(instance: Instance) -> Menu:

@@ -152,6 +152,38 @@ def test_sample_refuses_negative_replications(box_file, capsys):
     assert err == "error: --replications must be nonnegative\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--instance", "{box}", "--mechanism-file", "{mech}", "--eps", "nan"],
+    ["verify", "--instance", "{box}", "--mechanism-file", "{mech}", "--eps", "inf"],
+    ["verify", "--instance", "{box}", "--mechanism-file", "{mech}", "--eps", "-1"],
+    ["simulate", "--instance", "{box}", "--protocol", "{protocol}", "--trials", "-5"],
+    ["simulate", "--instance", "{box}", "--protocol", "{protocol}", "--trials", "10",
+     "--seed", "-1"],
+    ["sample", "--oracle", "{box}", "--n", "100", "--eps", "0.1", "--replications", "1",
+     "--seed", "-3"],
+    ["sample", "--oracle", "{box}", "--n", "0", "--eps", "0.1", "--replications", "1"],
+    ["sample", "--oracle", "{box}", "--n", "-5", "--eps", "0.1", "--replications", "0"],
+], ids=["verify-eps-nan", "verify-eps-inf", "verify-eps-negative", "simulate-trials-negative",
+        "simulate-seed-negative", "sample-seed-negative", "sample-n-zero", "sample-n-negative"])
+def test_bad_flags_are_input_errors_before_any_output(argv, box_file, capsys):
+    paths = {"box": str(box_file), "mech": str(FIXTURES / "box_depr.mech.json"),
+             "protocol": str(box_file.with_suffix("").with_suffix(".protocol.json"))}
+    code = main([arg.format(**paths) for arg in argv])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_single_round_prints_only_its_own_bytes():
+    # on this instance (draw 47 of random_independent_instance(default_rng(5)))
+    # HiGHS's branch-and-bound prints a line of its own from C, past
+    # sys.stdout, so only a subprocess sees what reaches file descriptor 1
+    done = subprocess.run([sys.executable, "-m", "infosale.cli", "solve", "--instance",
+                           str(FIXTURES / "single_round_stdout_seed5_draw47.json"),
+                           "--mechanism", "single-round"], capture_output=True)
+    assert (done.returncode, done.stdout) == (0, b"revenue 2.1\n")
+
+
 def test_sample_stream_oracle_requires_instance(box_file, tmp_path, capsys):
     stream = tmp_path / "s.jsonl"
     rows = [{"theta": "0", "omega": w, "b": 50.0} for w in ("0", "1")] * 300

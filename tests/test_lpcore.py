@@ -108,6 +108,21 @@ def test_integer_columns_give_integer_optimum():
     assert np.allclose(sol.values, [0.0, 1.0, 1.0, 1.0], atol=1e-9)
 
 
+def test_integer_program_with_held_back_rows_goes_whole():
+    # the knapsack with a held-back count row a + b + c + d <= 3: the
+    # relaxation's optimum (a, b, half of c) meets it, so held back the
+    # count row never joins and the point would stay fractional
+    lp = LinearProgram("knapsack-held")
+    xs = lp.add_block("x", 4, 0.0, 1.0, integer=True)
+    lp.add_rows("rows", [[xs, xs]], [[[5.0, 7.0, 4.0, 3.0], [1.0, 1.0, 1.0, 1.0]]], "<=",
+                [[14.0, 3.0]], start=[True, False])
+    lp.set_objective(xs, [8.0, 11.0, 6.0, 4.0])
+    sol = lp.solve()
+    assert sol.objective == pytest.approx(21.0, abs=1e-9)
+    assert np.allclose(sol.values, [0.0, 1.0, 1.0, 1.0], atol=1e-9)
+    assert (sol.rounds, sol.rows) == (1, 2)
+
+
 def test_infeasible_integer_program_raises():
     # 2x == 1 has the fractional solution 1/2 but no integer one
     lp = LinearProgram("odd")

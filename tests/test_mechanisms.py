@@ -329,3 +329,37 @@ def test_held_back_epsilon_lp_agrees_with_the_whole_program():
         assert check_obedience(mech, emp, eps=slack["obedience"], tol=1e-6).passed
         assert check_ic(mech, emp, eps=slack["ic"], tol=1e-6).passed
         assert check_ir(mech, emp, eps=slack["ir"], tol=1e-6).passed
+
+
+def _independent_above_twelve(count):
+    rng = np.random.default_rng(20261021)
+    cases = []
+    while len(cases) < count:
+        inst = random_independent_instance(rng, max_types=5)
+        if len(prior_view(inst).index) > 12:
+            cases.append(inst)
+    return cases
+
+
+def test_held_back_one_price_menus_agree_with_the_whole_program():
+    # depr, and single-round's pattern LP, hold their epigraph rows back past
+    # 12 entries as probr does; the pattern MILP always goes whole
+    for inst in _independent_above_twelve(6):
+        for solve in (solve_cm_depr, solve_single_round):
+            held, whole = _held_and_whole(lambda: solve(inst))
+            assert abs(held.revenue - whole.revenue) <= 1e-6
+            for mech in (held, whole):
+                assert verify_all(mech, inst, eps=0.0, tol=1e-6).passed
+
+
+def test_single_round_solves_fifteen_entries():
+    # 4 states, 5 types, 3 actions and 3 budget levels: the pattern MILP has
+    # more than 12 entries, and the epigraph rows it shares with the pattern
+    # LP are held back there, so a relaxation would come back fractional
+    rng = np.random.default_rng(20261021)
+    inst = random_independent_instance(rng, 4, 5, 3, 3)
+    while len(prior_view(inst).index) != 15 or len(inst.omega) != 4 or len(inst.actions) != 3:
+        inst = random_independent_instance(rng, 4, 5, 3, 3)
+    mech = solve_single_round(inst)
+    assert verify_all(mech, inst, eps=0.0, tol=1e-6).passed
+    assert mech.revenue <= revenue_cap(inst) + 1e-6

@@ -24,14 +24,18 @@ def test_script_runs(argv):
 
 
 def test_capacity_ladder_runs_its_first_rung(monkeypatch):
-    # the ladder walks its first rung only; its children take their size
-    # through --solve and never read RUNGS
+    # the ladder walks its first rung only, for each solver; its children
+    # take their size through --solve and never read RUNGS
     spec = importlib.util.spec_from_file_location("capacity_ladder",
                                                   ROOT / "scripts" / "capacity_ladder.py")
     ladder = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(ladder)
     monkeypatch.setattr(ladder, "RUNGS", ladder.RUNGS[:1])
     monkeypatch.setenv("PYTHONPATH", str(ROOT / "src"))
-    (rung,) = ladder.ladder(budget=60.0, seed=1)["rungs"]
-    assert rung["size"] == [4, 4, 4, 3] and rung["verdicts"] == ["pass"] * 3
-    assert rung["rows"] > 0 and rung["median_s"] < 5
+    for solver in ("probr", "depr"):
+        result = ladder.ladder(budget=60.0, seed=1, solver=solver)
+        (rung,) = result["rungs"]
+        assert result["solver"] == solver
+        assert rung["size"] == [4, 4, 4, 3] and rung["verdicts"] == ["pass"] * 3
+        assert rung["rows"] > 0 and rung["median_s"] < 5
+        assert rung["rounds"] == [1] * 3 and rung["model_rows"] == [rung["rows"]] * 3
