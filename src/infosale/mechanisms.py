@@ -200,10 +200,10 @@ def _pair_arrays(view: PriorView):
     return ti, np.array(inst.budgets, dtype=float)[bi], inst.utility[:, ti, :].transpose(1, 0, 2)
 
 
-# the largest menu whose LP reaches HiGHS whole, through linprog, as every
-# program pinned in tests/fixtures/lp_digests.json and perfbench does: 12
-# entries is the most random_*_instance draws at its default maxima. Not a
-# speed crossover: the held-back path is faster at 12 entries and below too.
+# the largest menu whose LP reaches HiGHS whole, through linprog, where
+# tests/fixtures/lp_digests.json and perfbench's one linprog span for the box
+# capture it: 12 entries is the most random_*_instance draws at its default
+# maxima. Not a speed crossover: the held-back path is faster below it too.
 HOLD_BACK_ABOVE = 12
 
 
