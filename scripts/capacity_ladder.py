@@ -8,7 +8,7 @@ budget. It stops after the first rung whose median time exceeds the budget
 and prints one JSON object: the commit of the infosale its children import,
 the host, and per rung the median seconds, the whole LP's rows, columns and
 nonzeros, and per draw the seconds, HiGHS runs, rows HiGHS held at the
-optimum and verify_all verdict.
+optimum, simplex iterations over all runs and verify_all verdict.
 
     PYTHONPATH=src python scripts/capacity_ladder.py --budget-s 60 --seed 1
     PYTHONPATH=src python scripts/capacity_ladder.py --solver depr --seed 1
@@ -35,7 +35,8 @@ CHILD_ALLOWANCE_S = 10.0
 def solve_one(solver: str, size, seed: int, draw: int) -> None:
     """Solve one draw in this process. Prints two JSON lines: the whole LP's
     size (first, so that a child stopped at the budget still reports it),
-    then the solve's seconds, HiGHS runs and rows, and verify_all verdict.
+    then the solve's seconds, HiGHS runs, rows and simplex iterations, and
+    verify_all verdict.
     The size is read from the program the solver hands lpcore, and the time
     spent reading it is left out of the seconds.
 
@@ -61,7 +62,7 @@ def solve_one(solver: str, size, seed: int, draw: int) -> None:
                           "nnz": sum(a.nnz for a in matrices)}), flush=True)
         sizing.append(time.perf_counter() - start)
         sol = solve(lp)
-        runs.update(rounds=sol.rounds, model_rows=sol.rows)
+        runs.update(rounds=sol.rounds, model_rows=sol.rows, iterations=sol.iterations)
         return sol
 
     LinearProgram.solve = sized_solve
@@ -125,7 +126,8 @@ def ladder(budget: float, seed: int, solver: str = "probr") -> dict:
                     **{k: draws[0].get(k) for k in ("entries", "rows", "cols", "nnz")},
                     "median_s": median if median != float("inf") else None,
                     "seconds": [d["seconds"] for d in draws],
-                    **{k: [d.get(k) for d in draws] for k in ("rounds", "model_rows")},
+                    **{k: [d.get(k) for d in draws]
+                       for k in ("rounds", "model_rows", "iterations")},
                     "verdicts": [d["verdict"] for d in draws]})
         if median > budget:
             break

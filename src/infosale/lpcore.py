@@ -1,13 +1,14 @@
-"""Thin LP modeling layer over scipy's HiGHS backend.
+"""Thin LP modeling layer over the HiGHS solver that scipy vendors.
 
 A program is held as arrays: columns come in named blocks of any shape
 (add_block returns the block's column ids as an array of that shape), and
 rows come in named families, each one sense with a (rows, terms) grid of
 column ids and coefficients and one right-hand side per row (add_rows).
 solve() stacks the families' COO triples into sparse matrices and hands the
-whole program to HiGHS in one `linprog` call (its simplex for a pure LP, its
-branch-and-bound once any column is integer), maps its status onto a small
-enum, and re-checks the returned point against every row, bound and
+whole program to one HiGHS model through this module's `linprog` (HiGHS's
+dual simplex for a pure LP, its branch-and-bound once any column is
+integer; Huangfu and Hall, Math. Prog. Comp. 10, 2018), maps its status onto
+a small enum, and re-checks the returned point against every row, bound and
 integrality requirement with its own sparse products — a solution is never
 trusted on the solver's word alone.
 
@@ -18,6 +19,7 @@ until no missing row is violated (Kelley's cutting-plane method, J. SIAM 8,
 1960). The re-check still covers every row, held back or not. A program
 with an integer column goes to HiGHS whole, held-back rows included, with
 file descriptor 1 pointed at os.devnull while its branch-and-bound runs.
+Both paths build their model with one helper and one set of options.
 """
 
 from __future__ import annotations
@@ -26,11 +28,11 @@ import os
 import sys
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.optimize._highspy import _core as core
-from scipy.sparse import csr_matrix, vstack
+from scipy.sparse import csc_matrix, csr_matrix, vstack
 
 from .errors import SolverFailure
 
@@ -49,17 +51,38 @@ _SENSES = ("<=", ">=", "==")
 class LPSolution:
     """A solved program: values by column id plus the objective, and what
     HiGHS did: `rounds` solves (1 unless rows were held back), over a model
-    of `rows` rows at the optimum."""
+    of `rows` rows at the optimum, taking `iterations` simplex iterations
+    over all rounds."""
 
     values: np.ndarray
     objective: float
     rounds: int
     rows: int
+    iterations: int
 
 
-# what linprog(method="highs") sets: dual simplex after presolve, no output
+# dual simplex after presolve and no output, as scipy's linprog(method="highs")
+# sets them; rows held to 1e-10, since at HiGHS's default 1e-7 a probr zdef
+# row left 8.9e-8 short let a misreport gain more than protocol.TIE_TOL
 _HIGHS_OPTIONS = (("presolve", "on"), ("simplex_strategy", 1), ("output_flag", False),
-                  ("log_to_console", False))
+                  ("log_to_console", False), ("primal_feasibility_tolerance", 1e-10))
+# HiGHS's default gaps (relative 1e-4, absolute 1e-6) would let
+# branch-and-bound stop at a visibly worse answer
+_MIP_OPTIONS = (("mip_rel_gap", 1e-9), ("mip_abs_gap", 0.0))
+# HiGHS model status -> the status code scipy's linprog reports; any other is 4
+_STATUS = {core.HighsModelStatus.kOptimal: 0, core.HighsModelStatus.kInfeasible: 2,
+           core.HighsModelStatus.kModelError: 2, core.HighsModelStatus.kUnbounded: 3}
+
+
+class HighsResult(NamedTuple):
+    """One HiGHS run: the point (None unless optimal), the status code (0
+    optimal, 2 infeasible, 3 unbounded, 4 anything else), the simplex
+    iterations and HiGHS's model status text."""
+
+    x: np.ndarray | None
+    status: int
+    nit: int
+    message: str
 
 
 @contextmanager
@@ -75,6 +98,48 @@ def _quiet_stdout():
     finally:
         os.dup2(saved, 1)
         os.close(saved)
+
+
+def _highs(c, A_ub, b_ub, A_eq, b_eq, lb, ub, integer=None) -> core._Highs:
+    """A HiGHS model of min c @ x over A_ub x <= b_ub, A_eq x == b_eq and
+    lb <= x <= ub (a matrix may be None), with every option set; a
+    mixed-integer one when `integer` marks its integer columns nonzero."""
+    parts = [(A, np.broadcast_to(lo, len(hi)), hi)
+             for A, lo, hi in ((A_ub, -np.inf, b_ub), (A_eq, b_eq, b_eq)) if A is not None]
+    A = vstack([a for a, _, _ in parts]).tocsc() if parts else csc_matrix((0, len(c)))
+    model = core.HighsLp()
+    model.num_col_ = model.a_matrix_.num_col_ = len(c)
+    model.num_row_ = model.a_matrix_.num_row_ = A.shape[0]
+    model.a_matrix_.format_ = core.MatrixFormat.kColwise
+    model.a_matrix_.start_, model.a_matrix_.index_, model.a_matrix_.value_ = (
+        A.indptr, A.indices, A.data)
+    model.col_cost_, model.col_lower_, model.col_upper_ = c, lb, ub
+    model.row_lower_ = np.concatenate([[], *(lo for _, lo, _ in parts)])
+    model.row_upper_ = np.concatenate([[], *(hi for _, _, hi in parts)])
+    if integer is not None:
+        model.integrality_ = [core.HighsVarType(int(k)) for k in integer]
+    highs = core._Highs()
+    for option, value in _HIGHS_OPTIONS + (() if integer is None else _MIP_OPTIONS):
+        highs.setOptionValue(option, value)
+    highs.passModel(model)
+    return highs
+
+
+def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None,
+            integrality=None) -> HighsResult:
+    """min c @ x over A_ub x <= b_ub, A_eq x == b_eq and the (columns, 2)
+    bounds, in one HiGHS run; columns where `integrality` is nonzero are
+    integer, and then fd 1 is pointed at os.devnull while HiGHS runs."""
+    lb, ub = np.asarray(bounds, dtype=float).T.copy()
+    mip = integrality is not None and np.any(integrality)
+    highs = _highs(c, A_ub, b_ub, A_eq, b_eq, lb, ub, integrality if mip else None)
+    with _quiet_stdout() if mip else nullcontext():
+        highs.run()
+    status = highs.getModelStatus()
+    code = _STATUS.get(status, 4)
+    return HighsResult(np.asarray(highs.getSolution().col_value, dtype=float) if code == 0
+                       else None, code, highs.getInfo().simplex_iteration_count,
+                       highs.modelStatusToString(status))
 
 
 def _label(name: str, shape: tuple, flat: int) -> str:
@@ -191,30 +256,26 @@ class LinearProgram:
         mip = lp["integer"].any()
         held = [] if mip else self._held(lp)
         if held:
-            values, rounds, rows = self._solve_live(c, lp, held)
+            values, rounds, rows, iterations = self._solve_live(c, lp, held)
         else:
-            # HiGHS's default relative gap (1e-4) would let branch-and-bound
-            # stop at a visibly worse answer
-            with _quiet_stdout() if mip else nullcontext():
-                result = linprog(c, A_ub=lp["A_ub"], b_ub=lp["b_ub"], A_eq=lp["A_eq"],
-                                 b_eq=lp["b_eq"], bounds=np.column_stack([lp["lb"], lp["ub"]]),
-                                 method="highs", integrality=lp["integer"],
-                                 options={"mip_rel_gap": 1e-9})
+            result = linprog(c, A_ub=lp["A_ub"], b_ub=lp["b_ub"], A_eq=lp["A_eq"],
+                             b_eq=lp["b_eq"], bounds=np.column_stack([lp["lb"], lp["ub"]]),
+                             integrality=lp["integer"])
             if result.status == 2:
                 raise SolverFailure(f"{self.name}: program infeasible", status=INFEASIBLE)
             if result.status == 3:
                 raise SolverFailure(f"{self.name}: program unbounded", status=UNBOUNDED)
-            if result.status != 0 or result.x is None:
+            if result.status != 0:
                 raise SolverFailure(f"{self.name}: solver returned status "
                                     f"{result.status} ({result.message})")
-            values, rounds = np.asarray(result.x, dtype=float), 1
+            values, rounds, iterations = result.x, 1, result.nit
             rows = int(lp["ub_families"][1][-1] + lp["eq_families"][1][-1])
         worst, row_name = self._violation(values, lp)
         if worst > FEAS_TOL:
             raise SolverFailure(f"{self.name}: solver point violates {row_name!r} "
                                 f"by {worst:.3g} (> {FEAS_TOL:g})", status="recheck")
         return LPSolution(values=values, objective=float(lp["c"] @ values), rounds=rounds,
-                          rows=rows)
+                          rows=rows, iterations=iterations)
 
     def _held(self, lp: dict) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per held-back family, its A_ub row ids and a copy of its start
@@ -227,43 +288,30 @@ class LinearProgram:
                              start.reshape(-1, shape[-1]).copy()))
         return held
 
-    def _solve_live(self, c, lp: dict, held) -> tuple[np.ndarray, int, int]:
+    def _solve_live(self, c, lp: dict, held) -> tuple[np.ndarray, int, int, int]:
         """Cutting-plane solve on one HiGHS model: every ordinary row and
         the held-back families' start rows first; after each run, the worst
         missing row of each line that is violated by more than CUT_TOL joins
         the model and HiGHS resumes from its basis. Only missing rows join,
-        so the loop ends. Returns the point, the runs and the model's rows.
+        so the loop ends. Returns the point, the runs, the model's rows and
+        the simplex iterations of all runs.
         """
         A_ub, b_ub = lp["A_ub"], lp["b_ub"]
         missing = np.zeros(len(b_ub), dtype=bool)
         for ids, start in held:
             missing[ids[~start]] = True
-        parts = [(A_ub[~missing], np.full(int((~missing).sum()), -np.inf), b_ub[~missing])]
-        if lp["A_eq"] is not None:
-            parts.append((lp["A_eq"], lp["b_eq"], lp["b_eq"]))
-        A = vstack([a for a, _, _ in parts]).tocsc()
-        model = core.HighsLp()
-        model.num_col_ = model.a_matrix_.num_col_ = len(c)
-        model.num_row_ = model.a_matrix_.num_row_ = A.shape[0]
-        model.a_matrix_.format_ = core.MatrixFormat.kColwise
-        model.a_matrix_.start_, model.a_matrix_.index_, model.a_matrix_.value_ = (
-            A.indptr, A.indices, A.data)
-        model.col_cost_, model.col_lower_, model.col_upper_ = c, lp["lb"], lp["ub"]
-        model.row_lower_ = np.concatenate([lo for _, lo, _ in parts])
-        model.row_upper_ = np.concatenate([hi for _, _, hi in parts])
-        highs = core._Highs()
-        for option, value in _HIGHS_OPTIONS:
-            highs.setOptionValue(option, value)
-        highs.passModel(model)
+        highs = _highs(c, A_ub[~missing], b_ub[~missing], lp["A_eq"], lp["b_eq"], lp["lb"],
+                       lp["ub"])
         cuts = [(A_ub[ids.ravel()], b_ub[ids.ravel()]) for ids, _ in held]
-        rounds = 0
+        rounds = iterations = 0
         while True:
             highs.run()
             rounds += 1
+            iterations += highs.getInfo().simplex_iteration_count
             status = highs.getModelStatus()
             # statuses as linprog maps them, but for an unbounded restricted
             # program, which says nothing of the whole
-            if status in (core.HighsModelStatus.kInfeasible, core.HighsModelStatus.kModelError):
+            if _STATUS.get(status) == 2:
                 raise SolverFailure(f"{self.name}: program infeasible", status=INFEASIBLE)
             if status != core.HighsModelStatus.kOptimal:
                 raise SolverFailure(f"{self.name}: solver returned status "
@@ -279,7 +327,7 @@ class LinearProgram:
                 new.append(ids[line, worst[line]])
             new = np.concatenate(new)
             if not len(new):
-                return x, rounds, highs.getNumRow()
+                return x, rounds, highs.getNumRow(), iterations
             cut = A_ub[new]
             highs.addRows(len(new), np.full(len(new), -np.inf), b_ub[new], cut.nnz,
                           cut.indptr[:-1].astype(np.int32), cut.indices.astype(np.int32),

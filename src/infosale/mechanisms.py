@@ -200,10 +200,11 @@ def _pair_arrays(view: PriorView):
     return ti, np.array(inst.budgets, dtype=float)[bi], inst.utility[:, ti, :].transpose(1, 0, 2)
 
 
-# the largest menu whose LP reaches HiGHS whole, through linprog, where
-# tests/fixtures/lp_digests.json and perfbench's one linprog span for the box
+# the largest menu whose LP reaches HiGHS whole, through lpcore.linprog, the
+# call where tests/fixtures/lp_digests.json and perfbench's highs.linprog span
 # capture it: 12 entries is the most random_*_instance draws at its default
-# maxima. Not a speed crossover: the held-back path is faster below it too.
+# maxima. Not a speed crossover: the held-back path is faster below it too,
+# but it hands HiGHS another program, which those captures would not see.
 HOLD_BACK_ABOVE = 12
 
 

@@ -220,6 +220,30 @@ def test_held_back_rows_reach_the_whole_programs_optimum():
     assert (sol.rounds, sol.rows) == (3, 5)
 
 
+def test_iterations_add_up_over_the_rounds(monkeypatch):
+    # the live model's simplex iterations are read after every run; each run
+    # after the first resumes from a basis that a joined row cuts off, so it
+    # takes at least one dual simplex iteration
+    runs, build = [], lpcore._highs
+
+    class Recording:
+        def __init__(self, highs):
+            self.highs = highs
+
+        def __getattr__(self, name):
+            return getattr(self.highs, name)
+
+        def getInfo(self):
+            info = self.highs.getInfo()
+            runs.append(info.simplex_iteration_count)
+            return info
+
+    monkeypatch.setattr(lpcore, "_highs", lambda *args: Recording(build(*args)))
+    sol = _held_toy([True, False, False]).solve()
+    assert len(runs) == sol.rounds == 3 and sol.iterations == sum(runs)
+    assert min(runs[1:]) >= 1
+
+
 def test_recheck_covers_held_back_rows():
     lp = _held_toy([True, False, False])
     lp.solve()

@@ -8,13 +8,15 @@ import pytest
 
 from infosale import (InputError, InstanceOracle, PreconditionError, buyer_utility,
                       certified_slack, check_ic, check_ir, check_obedience,
-                      draw_samples, expected_revenue, full_revelation_menu,
+                      draw_samples, evaluate, expected_revenue, full_revelation_menu,
                       is_independent, load_instance, mechanism_from_json_dict,
-                      mechanism_to_json_dict, mechanisms, prior_view,
-                      replicate_as_prob_return, revenue_cap, solve_cm_depr,
+                      mechanism_to_json_dict, mechanism_to_protocol, mechanisms,
+                      prior_view, replicate_as_prob_return, revenue_cap, solve_cm_depr,
                       solve_cm_dirp, solve_cm_probr, solve_epsilon_lp,
                       solve_single_round, verify_all)
-from infosale.mechanisms import _clean_kernel, _pair_arrays, build_prob_return_lp
+from infosale.mechanisms import (_clean_kernel, _pair_arrays, build_prob_return_lp,
+                                 menu_values)
+from infosale.protocol import TIE_TOL
 from infosale.random_instances import (random_correlated_instance,
                                        random_independent_instance)
 
@@ -247,6 +249,22 @@ def test_probr_rare_recommendation_is_obeyed():
     assert verify_all(solve_cm_probr(inst), inst, eps=0.0, tol=1e-6).passed
 
 
+def test_probr_misreports_gain_nothing_the_protocol_would_act_on():
+    # the (4, 4, 4, 3) instance of pass 29 of the probr-large benchmark
+    # workload at seed 12345 (m = 12, solved whole): at HiGHS's default
+    # primal tolerance two zdef rows were left 8.85e-8 short, so (t0, 2.89)
+    # gained that much by reporting entry 7. verify_all passes such a menu at
+    # 1e-6, but evaluate breaks ties at TIE_TOL and read 0.3960 for 0.5096
+    path = Path(__file__).parent / "fixtures" / "probr_tie_seed12345.json"
+    inst = load_instance(json.loads(path.read_text()))
+    mech = solve_cm_probr(inst)
+    table = menu_values(mech, inst)
+    other = table.affordable & (np.arange(len(mech.menu)) != table.truth[:, None])
+    assert np.where(other, table.best - table.obedient[:, None], -np.inf).max() <= TIE_TOL
+    tree = evaluate(mechanism_to_protocol(mech, inst), inst)
+    assert tree.revenue == pytest.approx(mech.revenue, abs=1e-6)
+
+
 def test_kernel_cleanup_merges_real_regret_only():
     # one menu entry, one column in use: action a1 is worth one ulp more than
     # the recommended a0 in every state, a tie up to rounding, so the column
@@ -296,6 +314,7 @@ def test_probr_lp_above_twelve_entries_holds_its_remap_rows_back():
     zdef = np.count_nonzero(b[None, :] <= b[:, None] + 1e-12) * na * na * 2
     assert m == 15
     assert held.rounds > 1 and whole.rounds == 1
+    assert 0 < held.iterations < whole.iterations
     assert held.rows <= whole.rows - zdef / 2
     assert held.objective == pytest.approx(whole.objective, abs=1e-6)
 

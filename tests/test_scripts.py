@@ -39,3 +39,4 @@ def test_capacity_ladder_runs_its_first_rung(monkeypatch):
         assert rung["size"] == [4, 4, 4, 3] and rung["verdicts"] == ["pass"] * 3
         assert rung["rows"] > 0 and rung["median_s"] < 5
         assert rung["rounds"] == [1] * 3 and rung["model_rows"] == [rung["rows"]] * 3
+        assert all(k > 0 for k in rung["iterations"])
