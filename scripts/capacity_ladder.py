@@ -1,10 +1,10 @@
 """Capacity ladder of a solver: the largest instance solve_cm_probr (or
 solve_cm_depr) finishes within a time budget.
 
-The ladder walks fixed (states, types, actions, budgets) sizes, solving 3
-seeded draws of perfbench's exact_instance per rung (correlated for probr,
-independent for depr), each in a child process stopped soon after the
-budget. It stops after the first rung whose median time exceeds the budget
+The ladder walks fixed (states, types, actions, budgets) sizes, RUNGS and
+for depr DEPR_RUNGS after them, solving 3 seeded draws of perfbench's
+exact_instance per rung (correlated for probr, independent for depr), each
+in a child process stopped soon after the budget. It stops after the first rung whose median time exceeds the budget
 and prints one JSON object: the commit of the infosale its children import,
 the host, and per rung the median seconds, the whole LP's rows, columns and
 nonzeros, and per draw the seconds, HiGHS runs, rows HiGHS held at the
@@ -28,47 +28,47 @@ from pathlib import Path
 
 RUNGS = ((4, 4, 4, 3), (5, 5, 5, 3), (6, 6, 5, 4), (7, 7, 5, 4), (8, 8, 6, 4),
          (10, 10, 6, 5), (10, 12, 8, 5), (12, 12, 8, 6))
+# depr climbs on: its epigraphs are one per (type, report), so its whole LP has
+# 21 million nonzeros at (24, 24, 12, 10), where a child peaks at 1.8 GB;
+# probr's, one per (entry, report), pass 31 million at (16, 16, 10, 8)
+DEPR_RUNGS = ((16, 16, 10, 8), (20, 20, 12, 8), (24, 24, 12, 10))
 DRAWS = 3
 CHILD_ALLOWANCE_S = 10.0
 
 
 def solve_one(solver: str, size, seed: int, draw: int) -> None:
     """Solve one draw in this process. Prints two JSON lines: the whole LP's
-    size (first, so that a child stopped at the budget still reports it),
-    then the solve's seconds, HiGHS runs, rows and simplex iterations, and
-    verify_all verdict.
-    The size is read from the program the solver hands lpcore, and the time
-    spent reading it is left out of the seconds.
+    size, read from the arguments of the solver's lpcore.linprog call (first,
+    so that a child stopped at the budget still reports it), then the solve's
+    seconds, HiGHS runs, rows and simplex iterations, read from that call's
+    result, and verify_all verdict.
 
     Only the children import the library, so the ladder itself starts fast.
     """
     import numpy as np
 
     import infosale
-    from infosale.lpcore import LinearProgram
+    from infosale import lpcore
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
     from workloads import exact_instance
 
     inst = exact_instance(np.random.default_rng([seed, draw, *size]), size,
                           correlated=solver == "probr")
-    solve, sizing, runs = LinearProgram.solve, [], {}
+    linprog, runs = lpcore.linprog, {}
 
-    def sized_solve(lp):
-        start = time.perf_counter()
-        whole = lp._assemble()
-        matrices = [whole[k] for k in ("A_ub", "A_eq") if whole[k] is not None]
+    def sized_linprog(c, **program):
+        matrices = [program[k] for k in ("A_ub", "A_eq") if program.get(k) is not None]
         print(json.dumps({"entries": len(infosale.prior_view(inst).index),
-                          "rows": sum(a.shape[0] for a in matrices), "cols": len(whole["c"]),
+                          "rows": sum(a.shape[0] for a in matrices), "cols": len(c),
                           "nnz": sum(a.nnz for a in matrices)}), flush=True)
-        sizing.append(time.perf_counter() - start)
-        sol = solve(lp)
-        runs.update(rounds=sol.rounds, model_rows=sol.rows, iterations=sol.iterations)
-        return sol
+        result = linprog(c, **program)
+        runs.update(rounds=result.rounds, model_rows=result.rows, iterations=result.nit)
+        return result
 
-    LinearProgram.solve = sized_solve
+    lpcore.linprog = sized_linprog
     start = time.perf_counter()
     mech = getattr(infosale, f"solve_cm_{solver}")(inst)
-    seconds = time.perf_counter() - start - sum(sizing)
+    seconds = time.perf_counter() - start
     report = infosale.verify_all(mech, inst, eps=0.0, tol=1e-6)
     print(json.dumps({"seconds": seconds, **runs, "verdict": "pass" if report.passed else
                       "fail: " + ", ".join(c.name for c in report.checks if not c.passed)}))
@@ -112,7 +112,7 @@ def _commit() -> str | None:
 
 def ladder(budget: float, seed: int, solver: str = "probr") -> dict:
     out = []
-    for size in RUNGS:
+    for size in RUNGS + (DEPR_RUNGS if solver == "depr" else ()):
         draws = []
         for draw in range(DRAWS):
             draws.append(_child(solver, size, seed, draw, budget))

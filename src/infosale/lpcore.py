@@ -5,21 +5,20 @@ A program is held as arrays: columns come in named blocks of any shape
 rows come in named families, each one sense with a (rows, terms) grid of
 column ids and coefficients and one right-hand side per row (add_rows).
 solve() stacks the families' COO triples into sparse matrices and hands the
-whole program to one HiGHS model through this module's `linprog` (HiGHS's
-dual simplex for a pure LP, its branch-and-bound once any column is
-integer; Huangfu and Hall, Math. Prog. Comp. 10, 2018), maps its status onto
-a small enum, and re-checks the returned point against every row, bound and
+whole program to this module's `linprog`, the one way to HiGHS (its dual
+simplex for a pure LP, its branch-and-bound once any column is integer;
+Huangfu and Hall, Math. Prog. Comp. 10, 2018), maps its status onto a small
+enum, and re-checks the returned point against every row, bound and
 integrality requirement with its own sparse products — a solution is never
 trusted on the solver's word alone.
 
-A family of inequality rows can be held back: HiGHS then starts from the
-family's start rows and, on one live model that keeps its basis, re-solves
+A family of inequality rows can be held back: `linprog` then builds its
+model from the family's start rows and, keeping HiGHS's basis, re-solves
 after adding the worst violated missing row along the row grid's last axis,
 until no missing row is violated (Kelley's cutting-plane method, J. SIAM 8,
 1960). The re-check still covers every row, held back or not. A program
 with an integer column goes to HiGHS whole, held-back rows included, with
 file descriptor 1 pointed at os.devnull while its branch-and-bound runs.
-Both paths build their model with one helper and one set of options.
 """
 
 from __future__ import annotations
@@ -75,14 +74,17 @@ _STATUS = {core.HighsModelStatus.kOptimal: 0, core.HighsModelStatus.kInfeasible:
 
 
 class HighsResult(NamedTuple):
-    """One HiGHS run: the point (None unless optimal), the status code (0
-    optimal, 2 infeasible, 3 unbounded, 4 anything else), the simplex
-    iterations and HiGHS's model status text."""
+    """What HiGHS returned: the point (None unless optimal), the status code
+    (0 optimal, 2 infeasible, 3 unbounded, 4 anything else), the simplex
+    iterations and model status text of its runs, the number of runs and
+    the rows of its model at the end."""
 
     x: np.ndarray | None
     status: int
     nit: int
     message: str
+    rounds: int
+    rows: int
 
 
 @contextmanager
@@ -126,20 +128,52 @@ def _highs(c, A_ub, b_ub, A_eq, b_eq, lb, ub, integer=None) -> core._Highs:
 
 
 def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None,
-            integrality=None) -> HighsResult:
+            integrality=None, held=()) -> HighsResult:
     """min c @ x over A_ub x <= b_ub, A_eq x == b_eq and the (columns, 2)
-    bounds, in one HiGHS run; columns where `integrality` is nonzero are
-    integer, and then fd 1 is pointed at os.devnull while HiGHS runs."""
+    bounds; columns where `integrality` is nonzero are integer, and then fd 1
+    is pointed at os.devnull while HiGHS runs.
+
+    `held` lists (row ids, start mask) pairs, both (lines, width), of A_ub
+    rows held back: the model leaves out the rows off their masks, and after
+    each run the worst missing row of each line violated by more than
+    CUT_TOL joins it and HiGHS resumes from its basis. Only missing rows
+    join, so the loop ends. A run that is unbounded while rows are missing
+    says nothing of the whole program, and reports status 4.
+    """
     lb, ub = np.asarray(bounds, dtype=float).T.copy()
     mip = integrality is not None and np.any(integrality)
-    highs = _highs(c, A_ub, b_ub, A_eq, b_eq, lb, ub, integrality if mip else None)
+    missing = np.zeros(0 if b_ub is None else len(b_ub), dtype=bool)
+    for ids, start in held:
+        missing[ids[~start]] = True
+    kept = (A_ub[~missing], b_ub[~missing]) if missing.any() else (A_ub, b_ub)
+    highs = _highs(c, *kept, A_eq, b_eq, lb, ub, integrality if mip else None)
+    cuts = [(ids, A_ub[ids.ravel()], b_ub[ids.ravel()]) for ids, _ in held]
+    rounds = nit = 0
     with _quiet_stdout() if mip else nullcontext():
-        highs.run()
-    status = highs.getModelStatus()
-    code = _STATUS.get(status, 4)
-    return HighsResult(np.asarray(highs.getSolution().col_value, dtype=float) if code == 0
-                       else None, code, highs.getInfo().simplex_iteration_count,
-                       highs.modelStatusToString(status))
+        while True:
+            highs.run()
+            rounds += 1
+            nit += highs.getInfo().simplex_iteration_count
+            status = highs.getModelStatus()
+            code = _STATUS.get(status, 4)
+            if code == 3 and missing.any():
+                code = 4
+            x, new = None, np.zeros(0, int)
+            if code == 0:
+                x = np.asarray(highs.getSolution().col_value, dtype=float)
+                for ids, A_f, b_f in cuts:
+                    gap = np.where(missing[ids], (A_f @ x - b_f).reshape(ids.shape), -np.inf)
+                    worst = gap.argmax(axis=1)
+                    line = np.flatnonzero(gap[np.arange(len(gap)), worst] > CUT_TOL)
+                    new = np.append(new, ids[line, worst[line]])
+            if not len(new):
+                return HighsResult(x, code, nit, highs.modelStatusToString(status), rounds,
+                                   highs.getNumRow())
+            missing[new] = False
+            cut = A_ub[new]
+            highs.addRows(len(new), np.full(len(new), -np.inf), b_ub[new], cut.nnz,
+                          cut.indptr[:-1].astype(np.int32), cut.indices.astype(np.int32),
+                          cut.data)
 
 
 def _label(name: str, shape: tuple, flat: int) -> str:
@@ -193,9 +227,10 @@ class LinearProgram:
         row's name in the re-check is `name[index]` over that row grid.
 
         A boolean `start` (broadcast to the row grid) holds an inequality
-        family back: solve() hands HiGHS only its start rows, then adds rows
-        one per line along the grid's last axis, the worst violated one,
-        until none is violated. The start rows must keep the program bounded.
+        family back: `linprog`'s model starts from its start rows and gains
+        rows one per line along the grid's last axis, the worst violated
+        one, until none is violated. The start rows must keep the program
+        bounded; if they do not, solve() raises SolverFailure ("error").
         """
         if sense not in _SENSES:
             raise ValueError(f"sense must be one of {_SENSES}, got {sense!r}")
@@ -251,87 +286,36 @@ class LinearProgram:
         """
         lp = self._assemble()
         c = -lp["c"] if self.maximize else lp["c"]
-        # a mixed-integer program goes whole: the live model would cut its
-        # held-back rows into the relaxation, not the program
-        mip = lp["integer"].any()
-        held = [] if mip else self._held(lp)
-        if held:
-            values, rounds, rows, iterations = self._solve_live(c, lp, held)
-        else:
-            result = linprog(c, A_ub=lp["A_ub"], b_ub=lp["b_ub"], A_eq=lp["A_eq"],
-                             b_eq=lp["b_eq"], bounds=np.column_stack([lp["lb"], lp["ub"]]),
-                             integrality=lp["integer"])
-            if result.status == 2:
-                raise SolverFailure(f"{self.name}: program infeasible", status=INFEASIBLE)
-            if result.status == 3:
-                raise SolverFailure(f"{self.name}: program unbounded", status=UNBOUNDED)
-            if result.status != 0:
-                raise SolverFailure(f"{self.name}: solver returned status "
-                                    f"{result.status} ({result.message})")
-            values, rounds, iterations = result.x, 1, result.nit
-            rows = int(lp["ub_families"][1][-1] + lp["eq_families"][1][-1])
-        worst, row_name = self._violation(values, lp)
+        # a mixed-integer program goes whole: cuts would be added to its
+        # relaxation, not to the program
+        result = linprog(c, A_ub=lp["A_ub"], b_ub=lp["b_ub"], A_eq=lp["A_eq"], b_eq=lp["b_eq"],
+                         bounds=np.column_stack([lp["lb"], lp["ub"]]),
+                         integrality=lp["integer"],
+                         held=() if lp["integer"].any() else self._held(lp))
+        if result.status == 2:
+            raise SolverFailure(f"{self.name}: program infeasible", status=INFEASIBLE)
+        if result.status == 3:
+            raise SolverFailure(f"{self.name}: program unbounded", status=UNBOUNDED)
+        if result.status != 0:
+            raise SolverFailure(f"{self.name}: solver returned status {result.status} "
+                                f"({result.message}) on a model of {result.rows} rows")
+        worst, row_name = self._violation(result.x, lp)
         if worst > FEAS_TOL:
             raise SolverFailure(f"{self.name}: solver point violates {row_name!r} "
                                 f"by {worst:.3g} (> {FEAS_TOL:g})", status="recheck")
-        return LPSolution(values=values, objective=float(lp["c"] @ values), rounds=rounds,
-                          rows=rows, iterations=iterations)
+        return LPSolution(values=result.x, objective=float(lp["c"] @ result.x),
+                          rounds=result.rounds, rows=result.rows, iterations=result.nit)
 
     def _held(self, lp: dict) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per held-back family, its A_ub row ids and a copy of its start
-        mask, both (lines, last axis of the row grid)."""
+        """Per held-back family, its A_ub row ids and its start mask, both
+        (lines, last axis of the row grid)."""
         held = []
         families = [f for f in self._families if f[2] == "ub"]
         for (_, shape, _, _, _, rhs, start), first in zip(families, lp["ub_families"][1]):
             if start is not None:
                 held.append((first + np.arange(len(rhs)).reshape(-1, shape[-1]),
-                             start.reshape(-1, shape[-1]).copy()))
+                             start.reshape(-1, shape[-1])))
         return held
-
-    def _solve_live(self, c, lp: dict, held) -> tuple[np.ndarray, int, int, int]:
-        """Cutting-plane solve on one HiGHS model: every ordinary row and
-        the held-back families' start rows first; after each run, the worst
-        missing row of each line that is violated by more than CUT_TOL joins
-        the model and HiGHS resumes from its basis. Only missing rows join,
-        so the loop ends. Returns the point, the runs, the model's rows and
-        the simplex iterations of all runs.
-        """
-        A_ub, b_ub = lp["A_ub"], lp["b_ub"]
-        missing = np.zeros(len(b_ub), dtype=bool)
-        for ids, start in held:
-            missing[ids[~start]] = True
-        highs = _highs(c, A_ub[~missing], b_ub[~missing], lp["A_eq"], lp["b_eq"], lp["lb"],
-                       lp["ub"])
-        cuts = [(A_ub[ids.ravel()], b_ub[ids.ravel()]) for ids, _ in held]
-        rounds = iterations = 0
-        while True:
-            highs.run()
-            rounds += 1
-            iterations += highs.getInfo().simplex_iteration_count
-            status = highs.getModelStatus()
-            # statuses as linprog maps them, but for an unbounded restricted
-            # program, which says nothing of the whole
-            if _STATUS.get(status) == 2:
-                raise SolverFailure(f"{self.name}: program infeasible", status=INFEASIBLE)
-            if status != core.HighsModelStatus.kOptimal:
-                raise SolverFailure(f"{self.name}: solver returned status "
-                                    f"{highs.modelStatusToString(status)} on "
-                                    f"{highs.getNumRow()} of its rows")
-            x = np.asarray(highs.getSolution().col_value, dtype=float)
-            new = []
-            for (ids, in_model), (A_f, b_f) in zip(held, cuts):
-                gap = np.where(in_model, -np.inf, (A_f @ x - b_f).reshape(in_model.shape))
-                worst = gap.argmax(axis=1)
-                line = np.flatnonzero(gap[np.arange(len(gap)), worst] > CUT_TOL)
-                in_model[line, worst[line]] = True
-                new.append(ids[line, worst[line]])
-            new = np.concatenate(new)
-            if not len(new):
-                return x, rounds, highs.getNumRow(), iterations
-            cut = A_ub[new]
-            highs.addRows(len(new), np.full(len(new), -np.inf), b_ub[new], cut.nnz,
-                          cut.indptr[:-1].astype(np.int32), cut.indices.astype(np.int32),
-                          cut.data)
 
     def max_violation(self, values: np.ndarray) -> tuple[float, str]:
         """Largest row/bound/integrality violation at the point, with its

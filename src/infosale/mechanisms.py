@@ -200,14 +200,6 @@ def _pair_arrays(view: PriorView):
     return ti, np.array(inst.budgets, dtype=float)[bi], inst.utility[:, ti, :].transpose(1, 0, 2)
 
 
-# the largest menu whose LP reaches HiGHS whole, through lpcore.linprog, the
-# call where tests/fixtures/lp_digests.json and perfbench's highs.linprog span
-# capture it: 12 entries is the most random_*_instance draws at its default
-# maxima. Not a speed crossover: the held-back path is faster below it too,
-# but it hands HiGHS another program, which those captures would not see.
-HOLD_BACK_ABOVE = 12
-
-
 def _add_menu_model(lp: LinearProgram, util, belief, joint, tau, ic_pairs, share,
                     price=None, eps: float = 0.0, relax=None):
     """The LP of a menu of transfer lotteries, added to lp; every solver's.
@@ -226,9 +218,9 @@ def _add_menu_model(lp: LinearProgram, util, belief, joint, tau, ic_pairs, share
     alike, so per (class, report) key, the diagonal included, z[key, k, a]
     bounds what recommendation (k, a) is worth under its best remap a -> a2.
     T_i, the truthful value, sums its own key's z and is capped by the
-    obedient value, so every recommendation is worth following. Past
-    HOLD_BACK_ABOVE entries the z rows are held back (lpcore), starting from
-    the obey rows (a2 = a), which bound every z from below.
+    obedient value, so every recommendation is worth following. The z rows
+    are held back (lpcore), starting from the obey rows (a2 = a), which bound
+    every z from below.
 
     Returns the column ids of p (m, n_omega, K, n_actions) and t (or None).
     """
@@ -273,7 +265,7 @@ def _add_menu_model(lp: LinearProgram, util, belief, joint, tau, ic_pairs, share
     lp.add_rows("zdef", _join(grid, z[:, :, :, None, None],
                               p[reported].transpose(0, 2, 3, 1)[:, :, :, None]),
                 _join(grid, 1.0, dev.transpose(0, 2, 3, 1)[:, :, None]), ">=", 0.0,
-                start=np.eye(na, dtype=bool) if m > HOLD_BACK_ABOVE else None)
+                start=np.eye(na, dtype=bool))
     return p, t
 
 

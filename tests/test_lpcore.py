@@ -221,7 +221,7 @@ def test_held_back_rows_reach_the_whole_programs_optimum():
 
 
 def test_iterations_add_up_over_the_rounds(monkeypatch):
-    # the live model's simplex iterations are read after every run; each run
+    # linprog's simplex iterations are read after every run; each run
     # after the first resumes from a basis that a joined row cuts off, so it
     # takes at least one dual simplex iteration
     runs, build = [], lpcore._highs
@@ -259,6 +259,21 @@ def test_infeasible_start_rows_raise():
     with pytest.raises(SolverFailure) as failure:
         lp.solve()
     assert failure.value.status == lpcore.INFEASIBLE
+
+
+def test_unbounded_start_rows_are_a_solver_error():
+    # max x + y over x, y >= 0 with a held-back line x <= 1, y <= 1 that
+    # starts from x <= 1 alone: the first run is unbounded in y, which says
+    # nothing of the whole program, so it is no UNBOUNDED verdict
+    lp = LinearProgram("held-unbounded")
+    x, y = lp.add_block("v", 2, 0.0, None)
+    lp.add_rows("cap", [[[x], [y]]], 1.0, "<=", 1.0, start=[True, False])
+    lp.set_objective([x, y], [1.0, 1.0])
+    with pytest.raises(SolverFailure) as failure:
+        lp.solve()
+    assert failure.value.status == "error"
+    lp.add_rows("sum", [[x, y]], 1.0, "<=", 2.0)
+    assert lp.solve().objective == pytest.approx(2.0, abs=1e-9)
 
 
 def test_only_inequalities_are_held_back():

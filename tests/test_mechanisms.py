@@ -9,9 +9,9 @@ import pytest
 from infosale import (InputError, InstanceOracle, PreconditionError, buyer_utility,
                       certified_slack, check_ic, check_ir, check_obedience,
                       draw_samples, evaluate, expected_revenue, full_revelation_menu,
-                      is_independent, load_instance, mechanism_from_json_dict,
-                      mechanism_to_json_dict, mechanism_to_protocol, mechanisms,
-                      prior_view, replicate_as_prob_return, revenue_cap, solve_cm_depr,
+                      is_independent, load_instance, lpcore, mechanism_from_json_dict,
+                      mechanism_to_json_dict, mechanism_to_protocol, prior_view,
+                      replicate_as_prob_return, revenue_cap, solve_cm_depr,
                       solve_cm_dirp, solve_cm_probr, solve_epsilon_lp,
                       solve_single_round, verify_all)
 from infosale.mechanisms import (_clean_kernel, _pair_arrays, build_prob_return_lp,
@@ -287,7 +287,7 @@ def test_revenue_cap_is_never_negative():
         assert revenue_cap(draws[k]) >= 0.0
 
 
-# -- held-back remap rows above 12 menu entries ----------------------------
+# -- held-back remap rows --------------------------------------------------
 
 
 def _seed102():
@@ -298,9 +298,9 @@ def _seed102():
 
 def _held_and_whole(solve):
     """solve() as it runs, then with every program handed to HiGHS whole."""
-    held = solve()
+    held, linprog = solve(), lpcore.linprog
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(mechanisms, "HOLD_BACK_ABOVE", 10**9)
+        patch.setattr(lpcore, "linprog", lambda *args, held=(), **kwargs: linprog(*args, **kwargs))
         return held, solve()
 
 
@@ -317,6 +317,29 @@ def test_probr_lp_above_twelve_entries_holds_its_remap_rows_back():
     assert 0 < held.iterations < whole.iterations
     assert held.rows <= whole.rows - zdef / 2
     assert held.objective == pytest.approx(whole.objective, abs=1e-6)
+
+
+def test_probr_hands_lpcore_linprog_the_whole_program_once(monkeypatch):
+    # the held-back rows go to HiGHS through linprog too, so a capture of its
+    # arguments sees every row of the program
+    inst = _seed102()
+    calls, linprog = [], lpcore.linprog
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(lpcore, "linprog", recording)
+    solve_cm_probr(inst)
+    (call,) = calls
+    view = prior_view(inst)
+    _, b, util = _pair_arrays(view)
+    whole = build_prob_return_lp(util, b, view.beliefs, view.joint,
+                                 inst.seller_budget)[0]._assemble()
+    for k in ("A_ub", "A_eq"):
+        assert call[k].shape == whole[k].shape and (call[k] != whole[k]).nnz == 0
+        assert np.array_equal(call[k.replace("A", "b")], whole[k.replace("A", "b")])
+    assert call["held"] and any((~start).any() for _, start in call["held"])
 
 
 def test_held_back_probr_agrees_with_the_whole_program():
@@ -361,8 +384,8 @@ def _independent_above_twelve(count):
 
 
 def test_held_back_one_price_menus_agree_with_the_whole_program():
-    # depr, and single-round's pattern LP, hold their epigraph rows back past
-    # 12 entries as probr does; the pattern MILP always goes whole
+    # depr, and single-round's pattern LP, hold their epigraph rows back as
+    # probr does; the pattern MILP always goes whole
     for inst in _independent_above_twelve(6):
         for solve in (solve_cm_depr, solve_single_round):
             held, whole = _held_and_whole(lambda: solve(inst))
@@ -374,7 +397,7 @@ def test_held_back_one_price_menus_agree_with_the_whole_program():
 def test_single_round_solves_fifteen_entries():
     # 4 states, 5 types, 3 actions and 3 budget levels: the pattern MILP has
     # more than 12 entries, and the epigraph rows it shares with the pattern
-    # LP are held back there, so a relaxation would come back fractional
+    # LP are held back, so a relaxation would come back fractional
     rng = np.random.default_rng(20261021)
     inst = random_independent_instance(rng, 4, 5, 3, 3)
     while len(prior_view(inst).index) != 15 or len(inst.omega) != 4 or len(inst.actions) != 3:

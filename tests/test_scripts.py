@@ -31,6 +31,7 @@ def test_capacity_ladder_runs_its_first_rung(monkeypatch):
     ladder = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(ladder)
     monkeypatch.setattr(ladder, "RUNGS", ladder.RUNGS[:1])
+    monkeypatch.setattr(ladder, "DEPR_RUNGS", ())
     monkeypatch.setenv("PYTHONPATH", str(ROOT / "src"))
     for solver in ("probr", "depr"):
         result = ladder.ladder(budget=60.0, seed=1, solver=solver)
@@ -38,5 +39,6 @@ def test_capacity_ladder_runs_its_first_rung(monkeypatch):
         assert result["solver"] == solver
         assert rung["size"] == [4, 4, 4, 3] and rung["verdicts"] == ["pass"] * 3
         assert rung["rows"] > 0 and rung["median_s"] < 5
-        assert rung["rounds"] == [1] * 3 and rung["model_rows"] == [rung["rows"]] * 3
+        assert all(k >= 1 for k in rung["rounds"])
+        assert all(k <= rung["rows"] for k in rung["model_rows"])
         assert all(k > 0 for k in rung["iterations"])
