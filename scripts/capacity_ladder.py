@@ -2,13 +2,14 @@
 solve_cm_depr) finishes within a time budget.
 
 The ladder walks fixed (states, types, actions, budgets) sizes, RUNGS and
-for depr DEPR_RUNGS after them, solving 3 seeded draws of perfbench's
+then the solver's MORE_RUNGS, solving 3 seeded draws of perfbench's
 exact_instance per rung (correlated for probr, independent for depr), each
-in a child process stopped soon after the budget. It stops after the first rung whose median time exceeds the budget
-and prints one JSON object: the commit of the infosale its children import,
-the host, and per rung the median seconds, the whole LP's rows, columns and
-nonzeros, and per draw the seconds, HiGHS runs, rows HiGHS held at the
-optimum, simplex iterations over all runs and verify_all verdict.
+in a child process stopped soon after the budget. It stops after the first
+rung whose median time exceeds the budget and prints one JSON object: the
+commit of the infosale its children import, the host, and per rung the
+median seconds, the whole LP's rows, columns and nonzeros, and per draw the
+seconds, HiGHS runs, rows HiGHS held at the optimum, simplex iterations over
+all runs and verify_all verdict.
 
     PYTHONPATH=src python scripts/capacity_ladder.py --budget-s 60 --seed 1
     PYTHONPATH=src python scripts/capacity_ladder.py --solver depr --seed 1
@@ -28,10 +29,12 @@ from pathlib import Path
 
 RUNGS = ((4, 4, 4, 3), (5, 5, 5, 3), (6, 6, 5, 4), (7, 7, 5, 4), (8, 8, 6, 4),
          (10, 10, 6, 5), (10, 12, 8, 5), (12, 12, 8, 6))
-# depr climbs on: its epigraphs are one per (type, report), so its whole LP has
-# 21 million nonzeros at (24, 24, 12, 10), where a child peaks at 1.8 GB;
-# probr's, one per (entry, report), pass 31 million at (16, 16, 10, 8)
-DEPR_RUNGS = ((16, 16, 10, 8), (20, 20, 12, 8), (24, 24, 12, 10))
+# past (12, 12, 8, 6) each solver climbs its own rungs, to a top one that takes
+# 60-100 s with a child under 2 GB: depr's epigraphs are one per (type,
+# report) and probr's one per (entry, report), so probr's whole LP has 10.7
+# million nonzeros at (14, 14, 8, 7), depr's 20.0 million at (16, 28, 12, 10)
+MORE_RUNGS = {"probr": ((14, 14, 8, 7),),
+              "depr": ((16, 16, 10, 8), (20, 20, 12, 8), (16, 28, 12, 10))}
 DRAWS = 3
 CHILD_ALLOWANCE_S = 10.0
 
@@ -112,7 +115,7 @@ def _commit() -> str | None:
 
 def ladder(budget: float, seed: int, solver: str = "probr") -> dict:
     out = []
-    for size in RUNGS + (DEPR_RUNGS if solver == "depr" else ()):
+    for size in RUNGS + MORE_RUNGS[solver]:
         draws = []
         for draw in range(DRAWS):
             draws.append(_child(solver, size, seed, draw, budget))

@@ -31,7 +31,7 @@ def test_capacity_ladder_runs_its_first_rung(monkeypatch):
     ladder = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(ladder)
     monkeypatch.setattr(ladder, "RUNGS", ladder.RUNGS[:1])
-    monkeypatch.setattr(ladder, "DEPR_RUNGS", ())
+    monkeypatch.setattr(ladder, "MORE_RUNGS", {"probr": (), "depr": ()})
     monkeypatch.setenv("PYTHONPATH", str(ROOT / "src"))
     for solver in ("probr", "depr"):
         result = ladder.ladder(budget=60.0, seed=1, solver=solver)
