@@ -1,15 +1,16 @@
 """Capacity ladder of a solver: the largest instance solve_cm_probr (or
-solve_cm_depr) finishes within a time budget.
+solve_cm_depr, or solve_single_round) finishes within a time budget.
 
 The ladder walks fixed (states, types, actions, budgets) sizes, RUNGS and
 then the solver's MORE_RUNGS, solving 3 seeded draws of perfbench's
-exact_instance per rung (correlated for probr, independent for depr), each
-in a child process stopped soon after the budget. It stops after the first
-rung whose median time exceeds the budget and prints one JSON object: the
-commit of the infosale its children import, the host, and per rung the
-median seconds, the whole LP's rows, columns and nonzeros, and per draw the
-seconds, HiGHS runs, rows HiGHS held at the optimum, simplex iterations over
-all runs and verify_all verdict.
+exact_instance per rung (correlated for probr, independent for the others),
+each in a child process stopped soon after the budget. It stops after the
+first rung whose median time exceeds the budget and prints one JSON object:
+the commit of the infosale its children import, the host, and per rung the
+median seconds, the first LP's rows, columns and nonzeros, and per draw the
+seconds, lpcore.linprog calls, and over those calls the HiGHS runs, the most
+rows HiGHS held at an optimum and the simplex iterations, and the
+verify_all verdict.
 
     PYTHONPATH=src python scripts/capacity_ladder.py --budget-s 60 --seed 1
     PYTHONPATH=src python scripts/capacity_ladder.py --solver depr --seed 1
@@ -35,16 +36,20 @@ RUNGS = ((4, 4, 4, 3), (5, 5, 5, 3), (6, 6, 5, 4), (7, 7, 5, 4), (8, 8, 6, 4),
 # million nonzeros at (14, 14, 8, 7), depr's 20.0 million at (16, 28, 12, 10)
 MORE_RUNGS = {"probr": ((14, 14, 8, 7),),
               "depr": ((16, 16, 10, 8), (20, 20, 12, 8), (16, 28, 12, 10))}
+# each LP of single-round's search is a deposit-family LP of depr's size
+MORE_RUNGS["single-round"] = MORE_RUNGS["depr"]
+SOLVE = {"probr": "solve_cm_probr", "depr": "solve_cm_depr",
+         "single-round": "solve_single_round"}
 DRAWS = 3
 CHILD_ALLOWANCE_S = 10.0
 
 
 def solve_one(solver: str, size, seed: int, draw: int) -> None:
     """Solve one draw in this process. Prints two JSON lines: the whole LP's
-    size, read from the arguments of the solver's lpcore.linprog call (first,
-    so that a child stopped at the budget still reports it), then the solve's
-    seconds, HiGHS runs, rows and simplex iterations, read from that call's
-    result, and verify_all verdict.
+    size, read from the arguments of the solver's first lpcore.linprog call
+    (first, so that a child stopped at the budget still reports it), then
+    the solve's seconds, its linprog calls, the HiGHS runs, most rows and
+    simplex iterations read from their results, and verify_all verdict.
 
     Only the children import the library, so the ladder itself starts fast.
     """
@@ -57,20 +62,24 @@ def solve_one(solver: str, size, seed: int, draw: int) -> None:
 
     inst = exact_instance(np.random.default_rng([seed, draw, *size]), size,
                           correlated=solver == "probr")
-    linprog, runs = lpcore.linprog, {}
+    linprog = lpcore.linprog
+    runs = dict.fromkeys(("calls", "rounds", "model_rows", "iterations"), 0)
 
     def sized_linprog(c, **program):
-        matrices = [program[k] for k in ("A_ub", "A_eq") if program.get(k) is not None]
-        print(json.dumps({"entries": len(infosale.prior_view(inst).index),
-                          "rows": sum(a.shape[0] for a in matrices), "cols": len(c),
-                          "nnz": sum(a.nnz for a in matrices)}), flush=True)
+        if not runs["calls"]:
+            matrices = [program[k] for k in ("A_ub", "A_eq") if program.get(k) is not None]
+            print(json.dumps({"entries": len(infosale.prior_view(inst).index),
+                              "rows": sum(a.shape[0] for a in matrices), "cols": len(c),
+                              "nnz": sum(a.nnz for a in matrices)}), flush=True)
         result = linprog(c, **program)
-        runs.update(rounds=result.rounds, model_rows=result.rows, iterations=result.nit)
+        runs.update(calls=runs["calls"] + 1, rounds=runs["rounds"] + result.rounds,
+                    model_rows=max(runs["model_rows"], result.rows),
+                    iterations=runs["iterations"] + result.nit)
         return result
 
     lpcore.linprog = sized_linprog
     start = time.perf_counter()
-    mech = getattr(infosale, f"solve_cm_{solver}")(inst)
+    mech = getattr(infosale, SOLVE[solver])(inst)
     seconds = time.perf_counter() - start
     report = infosale.verify_all(mech, inst, eps=0.0, tol=1e-6)
     print(json.dumps({"seconds": seconds, **runs, "verdict": "pass" if report.passed else
@@ -130,7 +139,7 @@ def ladder(budget: float, seed: int, solver: str = "probr") -> dict:
                     "median_s": median if median != float("inf") else None,
                     "seconds": [d["seconds"] for d in draws],
                     **{k: [d.get(k) for d in draws]
-                       for k in ("rounds", "model_rows", "iterations")},
+                       for k in ("calls", "rounds", "model_rows", "iterations")},
                     "verdicts": [d["verdict"] for d in draws]})
         if median > budget:
             break
@@ -148,9 +157,9 @@ def main() -> None:
     parser.add_argument("--budget-s", type=float, default=60.0,
                         help="seconds allowed per solve (default 60)")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--solver", choices=("probr", "depr"), default="probr",
-                        help="solve_cm_probr on correlated draws (default) or "
-                             "solve_cm_depr on independent ones")
+    parser.add_argument("--solver", choices=tuple(SOLVE), default="probr",
+                        help="solve_cm_probr on correlated draws (default), or "
+                             "solve_cm_depr or solve_single_round on independent ones")
     parser.add_argument("--solve", help=argparse.SUPPRESS)
     parser.add_argument("--draw", type=int, default=0, help=argparse.SUPPRESS)
     args = parser.parse_args()

@@ -6,26 +6,20 @@ rows come in named families, each one sense with a (rows, terms) grid of
 column ids and coefficients and one right-hand side per row (add_rows).
 solve() stacks the families' COO triples into sparse matrices and hands the
 whole program to this module's `linprog`, the one way to HiGHS (its dual
-simplex for a pure LP, its branch-and-bound once any column is integer;
-Huangfu and Hall, Math. Prog. Comp. 10, 2018), maps its status onto a small
-enum, and re-checks the returned point against every row, bound and
-integrality requirement with its own sparse products — a solution is never
-trusted on the solver's word alone.
+simplex; Huangfu and Hall, Math. Prog. Comp. 10, 2018), maps its status onto
+a small enum, and re-checks the returned point against every row and bound
+with its own sparse products — a solution is never trusted on the solver's
+word alone.
 
 A family of inequality rows can be held back: `linprog` then builds its
 model from the family's start rows and, keeping HiGHS's basis, re-solves
 after adding the worst violated missing row along the row grid's last axis,
 until no missing row is violated (Kelley's cutting-plane method, J. SIAM 8,
-1960). The re-check still covers every row, held back or not. A program
-with an integer column goes to HiGHS whole, held-back rows included, with
-file descriptor 1 pointed at os.devnull while its branch-and-bound runs.
+1960). The re-check still covers every row, held back or not.
 """
 
 from __future__ import annotations
 
-import os
-import sys
-from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -65,9 +59,6 @@ class LPSolution:
 # row left 8.9e-8 short let a misreport gain more than protocol.TIE_TOL
 _HIGHS_OPTIONS = (("presolve", "on"), ("simplex_strategy", 1), ("output_flag", False),
                   ("log_to_console", False), ("primal_feasibility_tolerance", 1e-10))
-# HiGHS's default gaps (relative 1e-4, absolute 1e-6) would let
-# branch-and-bound stop at a visibly worse answer
-_MIP_OPTIONS = (("mip_rel_gap", 1e-9), ("mip_abs_gap", 0.0))
 # HiGHS model status -> the status code scipy's linprog reports; any other is 4
 _STATUS = {core.HighsModelStatus.kOptimal: 0, core.HighsModelStatus.kInfeasible: 2,
            core.HighsModelStatus.kModelError: 2, core.HighsModelStatus.kUnbounded: 3}
@@ -87,25 +78,9 @@ class HighsResult(NamedTuple):
     rows: int
 
 
-@contextmanager
-def _quiet_stdout():
-    """File descriptor 1 pointed at os.devnull for the block: HiGHS's
-    branch-and-bound can print there from C, whatever its output options."""
-    sys.stdout.flush()
-    saved = os.dup(1)
-    try:
-        with open(os.devnull, "wb") as null:
-            os.dup2(null.fileno(), 1)
-        yield
-    finally:
-        os.dup2(saved, 1)
-        os.close(saved)
-
-
-def _highs(c, A_ub, b_ub, A_eq, b_eq, lb, ub, integer=None) -> core._Highs:
+def _highs(c, A_ub, b_ub, A_eq, b_eq, lb, ub) -> core._Highs:
     """A HiGHS model of min c @ x over A_ub x <= b_ub, A_eq x == b_eq and
-    lb <= x <= ub (a matrix may be None), with every option set; a
-    mixed-integer one when `integer` marks its integer columns nonzero."""
+    lb <= x <= ub (a matrix may be None), with every option set."""
     parts = [(A, np.broadcast_to(lo, len(hi)), hi)
              for A, lo, hi in ((A_ub, -np.inf, b_ub), (A_eq, b_eq, b_eq)) if A is not None]
     A = vstack([a for a, _, _ in parts]).tocsc() if parts else csc_matrix((0, len(c)))
@@ -118,20 +93,17 @@ def _highs(c, A_ub, b_ub, A_eq, b_eq, lb, ub, integer=None) -> core._Highs:
     model.col_cost_, model.col_lower_, model.col_upper_ = c, lb, ub
     model.row_lower_ = np.concatenate([[], *(lo for _, lo, _ in parts)])
     model.row_upper_ = np.concatenate([[], *(hi for _, _, hi in parts)])
-    if integer is not None:
-        model.integrality_ = [core.HighsVarType(int(k)) for k in integer]
     highs = core._Highs()
-    for option, value in _HIGHS_OPTIONS + (() if integer is None else _MIP_OPTIONS):
+    for option, value in _HIGHS_OPTIONS:
         highs.setOptionValue(option, value)
     highs.passModel(model)
     return highs
 
 
 def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None,
-            integrality=None, held=()) -> HighsResult:
+            held=()) -> HighsResult:
     """min c @ x over A_ub x <= b_ub, A_eq x == b_eq and the (columns, 2)
-    bounds; columns where `integrality` is nonzero are integer, and then fd 1
-    is pointed at os.devnull while HiGHS runs.
+    bounds.
 
     `held` lists (row ids, start mask) pairs, both (lines, width), of A_ub
     rows held back: the model leaves out the rows off their masks, and after
@@ -141,39 +113,37 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None,
     says nothing of the whole program, and reports status 4.
     """
     lb, ub = np.asarray(bounds, dtype=float).T.copy()
-    mip = integrality is not None and np.any(integrality)
     missing = np.zeros(0 if b_ub is None else len(b_ub), dtype=bool)
     for ids, start in held:
         missing[ids[~start]] = True
     kept = (A_ub[~missing], b_ub[~missing]) if missing.any() else (A_ub, b_ub)
-    highs = _highs(c, *kept, A_eq, b_eq, lb, ub, integrality if mip else None)
+    highs = _highs(c, *kept, A_eq, b_eq, lb, ub)
     cuts = [(ids, A_ub[ids.ravel()], b_ub[ids.ravel()]) for ids, _ in held]
     rounds = nit = 0
-    with _quiet_stdout() if mip else nullcontext():
-        while True:
-            highs.run()
-            rounds += 1
-            nit += highs.getInfo().simplex_iteration_count
-            status = highs.getModelStatus()
-            code = _STATUS.get(status, 4)
-            if code == 3 and missing.any():
-                code = 4
-            x, new = None, np.zeros(0, int)
-            if code == 0:
-                x = np.asarray(highs.getSolution().col_value, dtype=float)
-                for ids, A_f, b_f in cuts:
-                    gap = np.where(missing[ids], (A_f @ x - b_f).reshape(ids.shape), -np.inf)
-                    worst = gap.argmax(axis=1)
-                    line = np.flatnonzero(gap[np.arange(len(gap)), worst] > CUT_TOL)
-                    new = np.append(new, ids[line, worst[line]])
-            if not len(new):
-                return HighsResult(x, code, nit, highs.modelStatusToString(status), rounds,
-                                   highs.getNumRow())
-            missing[new] = False
-            cut = A_ub[new]
-            highs.addRows(len(new), np.full(len(new), -np.inf), b_ub[new], cut.nnz,
-                          cut.indptr[:-1].astype(np.int32), cut.indices.astype(np.int32),
-                          cut.data)
+    while True:
+        highs.run()
+        rounds += 1
+        nit += highs.getInfo().simplex_iteration_count
+        status = highs.getModelStatus()
+        code = _STATUS.get(status, 4)
+        if code == 3 and missing.any():
+            code = 4
+        x, new = None, np.zeros(0, int)
+        if code == 0:
+            x = np.asarray(highs.getSolution().col_value, dtype=float)
+            for ids, A_f, b_f in cuts:
+                gap = np.where(missing[ids], (A_f @ x - b_f).reshape(ids.shape), -np.inf)
+                worst = gap.argmax(axis=1)
+                line = np.flatnonzero(gap[np.arange(len(gap)), worst] > CUT_TOL)
+                new = np.append(new, ids[line, worst[line]])
+        if not len(new):
+            return HighsResult(x, code, nit, highs.modelStatusToString(status), rounds,
+                               highs.getNumRow())
+        missing[new] = False
+        cut = A_ub[new]
+        highs.addRows(len(new), np.full(len(new), -np.inf), b_ub[new], cut.nnz,
+                      cut.indptr[:-1].astype(np.int32), cut.indices.astype(np.int32),
+                      cut.data)
 
 
 def _label(name: str, shape: tuple, flat: int) -> str:
@@ -196,7 +166,7 @@ class LinearProgram:
 
     name: str = "lp"
     maximize: bool = True
-    # (name, shape, lb, ub, integer) per block; (name, shape, "ub" or "eq",
+    # (name, shape, lb, ub) per block; (name, shape, "ub" or "eq",
     # cols, coefs, rhs, held) per family, cols and coefs (rows, terms), >= rows
     # negated into HiGHS's A_ub x <= b_ub, and held None or a held-back
     # family's start mask over its row grid
@@ -205,17 +175,16 @@ class LinearProgram:
     _objective: tuple[np.ndarray, np.ndarray] = (np.zeros(0, int), np.zeros(0))
     _n: int = 0
 
-    def add_block(self, name: str, shape, lb: float | None = 0.0, ub: float | None = None,
-                  integer: bool = False) -> np.ndarray:
+    def add_block(self, name: str, shape, lb: float | None = 0.0,
+                  ub: float | None = None) -> np.ndarray:
         """Register a block of columns; returns their ids shaped `shape`.
 
-        lb and ub broadcast to the block (None means unbounded); integer
-        columns make the program a mixed-integer one.
+        lb and ub broadcast to the block (None means unbounded).
         """
         ids = self._n + np.arange(int(np.prod(shape))).reshape(shape)
         lb, ub = (np.broadcast_to(np.asarray(free if v is None else v, dtype=float),
                                   ids.shape).ravel() for v, free in ((lb, -np.inf), (ub, np.inf)))
-        self._blocks.append((name, ids.shape, lb, ub, np.full(ids.size, float(integer))))
+        self._blocks.append((name, ids.shape, lb, ub))
         self._n += ids.size
         return ids
 
@@ -254,13 +223,13 @@ class LinearProgram:
         self._objective = cols.ravel(), coefs.ravel()
 
     def _assemble(self) -> dict:
-        """The program as arrays: the objective c (as stated), the bounds and
-        integrality marks, A_ub x <= b_ub and A_eq x == b_eq, and the
-        (name, shape) and first index of every block and family."""
+        """The program as arrays: the objective c (as stated), the bounds,
+        A_ub x <= b_ub and A_eq x == b_eq, and the (name, shape) and first
+        index of every block and family."""
         c = np.zeros(self._n)
         np.add.at(c, *self._objective)
-        lb, ub, integer = (np.concatenate([[], *(b[k] for b in self._blocks)]) for k in (2, 3, 4))
-        out = {"c": c, "lb": lb, "ub": ub, "integer": integer,
+        lb, ub = (np.concatenate([[], *(b[k] for b in self._blocks)]) for k in (2, 3))
+        out = {"c": c, "lb": lb, "ub": ub,
                "blocks": ([b[:2] for b in self._blocks],
                           np.cumsum([0] + [len(b[2]) for b in self._blocks]))}
         for kind in ("ub", "eq"):
@@ -286,12 +255,8 @@ class LinearProgram:
         """
         lp = self._assemble()
         c = -lp["c"] if self.maximize else lp["c"]
-        # a mixed-integer program goes whole: cuts would be added to its
-        # relaxation, not to the program
         result = linprog(c, A_ub=lp["A_ub"], b_ub=lp["b_ub"], A_eq=lp["A_eq"], b_eq=lp["b_eq"],
-                         bounds=np.column_stack([lp["lb"], lp["ub"]]),
-                         integrality=lp["integer"],
-                         held=() if lp["integer"].any() else self._held(lp))
+                         bounds=np.column_stack([lp["lb"], lp["ub"]]), held=self._held(lp))
         if result.status == 2:
             raise SolverFailure(f"{self.name}: program infeasible", status=INFEASIBLE)
         if result.status == 3:
@@ -318,9 +283,9 @@ class LinearProgram:
         return held
 
     def max_violation(self, values: np.ndarray) -> tuple[float, str]:
-        """Largest row/bound/integrality violation at the point, with its
-        name (`family[index]`, `bound:block[index]` or
-        `integrality:block[index]`); (0.0, "") when nothing is violated.
+        """Largest row or bound violation at the point, with its name
+        (`family[index]` or `bound:block[index]`); (0.0, "") when nothing is
+        violated.
 
         This is the independent feasibility pass: plain sparse products, no
         solver state involved.
@@ -328,9 +293,7 @@ class LinearProgram:
         return self._violation(np.asarray(values, dtype=float), self._assemble())
 
     def _violation(self, x: np.ndarray, lp: dict) -> tuple[float, str]:
-        gaps = [(np.maximum(lp["lb"] - x, x - lp["ub"]), "bound:", lp["blocks"]),
-                (np.where(lp["integer"] > 0, np.abs(x - np.round(x)), 0.0),
-                 "integrality:", lp["blocks"])]
+        gaps = [(np.maximum(lp["lb"] - x, x - lp["ub"]), "bound:", lp["blocks"])]
         if lp["A_ub"] is not None:
             gaps.append((lp["A_ub"] @ x - lp["b_ub"], "", lp["ub_families"]))
         if lp["A_eq"] is not None:

@@ -11,8 +11,8 @@ in how that transfer is charged:
                   back deposit minus price (solve_cm_depr).
 * single-round -- direct payment with an *unverified* budget report: a
                   deviation is available whenever its price fits the true
-                  wallet. Diagnostic; a mixed-integer program picks which
-                  budget levels can afford each item, then that pattern's LP
+                  wallet. Diagnostic; a branch and bound over LPs picks which
+                  budget levels can afford each item, and that pattern's LP
                   gives the menu (solve_single_round).
 * probr        -- probabilistic return: the buyer deposits the reported budget,
                   and per recommendation the mechanism keeps it ("+") or
@@ -35,6 +35,8 @@ eps = 0 over the instance's own view.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,7 +203,7 @@ def _pair_arrays(view: PriorView):
 
 
 def _add_menu_model(lp: LinearProgram, util, belief, joint, tau, ic_pairs, share,
-                    price=None, eps: float = 0.0, relax=None):
+                    price=None, eps: float = 0.0):
     """The LP of a menu of transfer lotteries, added to lp; every solver's.
 
     Entry i of m draws recommendation a in state w from block k with chance
@@ -210,9 +212,7 @@ def _add_menu_model(lp: LinearProgram, util, belief, joint, tau, ic_pairs, share
     util (m, n_omega, n_actions) and belief (m, n_omega) are each entry's
     utility rows and belief; joint (m, n_omega) weighs the block transfers
     in the objective. Truth i beats report j for each pair of ic_pairs
-    (n, 2), whose rows get relax = (columns, coefficients) added, one row
-    per pair (column -1 for no term); eps slackens obedience, participation
-    and truthfulness.
+    (n, 2); eps slackens obedience, participation and truthfulness.
 
     Entries of one `share` class (one type, one belief) value a report
     alike, so per (class, report) key, the diagonal included, z[key, k, a]
@@ -253,10 +253,9 @@ def _add_menu_model(lp: LinearProgram, util, belief, joint, tau, ic_pairs, share
     lp.add_rows("ir", _join((m, na), T[:, None, None], tcol[:, None, None]),
                 _join((m, na), 1.0, -1.0), ">=", outside - eps)
     n = len(i)
-    relax_cols, relax_coefs = relax or (np.zeros((n, 0), int), np.zeros((n, 0)))
     lp.add_rows("ic", _join((n,), T[i][:, None], tcol[i][:, None], z[key[m:]].reshape(n, width),
-                            tcol[j][:, None], relax_cols),
-                _join((n,), 1.0, -1.0, -np.ones(width), 1.0, relax_coefs), ">=", -eps)
+                            tcol[j][:, None]),
+                _join((n,), 1.0, -1.0, -np.ones(width), 1.0), ">=", -eps)
     # z[key, k, a] >= what remapping recommendation (k, a) of the key's
     # report to a2 is worth to the key's deviator, over the grid (key, k, a, a2)
     dev = -belief[deviator][:, :, None, None] * (           # (key, w, k, a2)
@@ -352,54 +351,18 @@ def solve_cm_dirp(instance: Instance, public_budget: float) -> Menu:
                                  -instance.seller_budget, hi)
 
 
-def _affordability_pattern(instance: Instance, types, b, weights) -> np.ndarray:
-    """Each menu item's cutoff (the index of the lowest budget level that can
-    afford it) in a revenue-optimal single-round menu, from one
-    mixed-integer program.
-
-    A single-round menu's feasible set is a union of polyhedra, one per
-    pattern of cutoffs; the program writes the union disjunctively (Balas,
-    "Disjunctive Programming", 1979). Binary y[j,k] picks item j's cutoff
-    level k <= b_j and confines its price to (level k-1, level k], with -M
-    as the floor of the lowest level and 1e-7 keeping a price off the level
-    just below; each truthfulness row (i, j) is switched off by a big-M
-    whenever the picked cutoff lies above b_i.
-    """
-    levels = np.array(instance.budgets)
-    M, util = instance.seller_budget, instance.utility
-    big = float(util.max() - util.min()) + levels[-1] + M + 1.0
-    floors = np.append(-M, levels[:-1] + 1e-7)
-    m = len(types)
-    own = levels <= b[:, None]                       # the levels item j may pick
-
-    lp = LinearProgram("single-round-pattern")
-    y = np.full(own.shape, -1)
-    y[own] = lp.add_block("y", int(own.sum()), 0.0, 1.0, integer=True)
-    ic_pairs = np.argwhere(~np.eye(m, dtype=bool))
-    relax = np.where(levels > b[ic_pairs[:, :1]], y[ic_pairs[:, 1]], -1)
-    _, t = _add_menu_model(lp, *_one_price(instance, types, weights), ic_pairs, types,
-                           (weights, -M, b), relax=(relax, np.full(relax.shape, big)))
-    lp.add_rows("pick", y, 1.0, "==", 1.0)
-    price = _join((m,), t[:, None], y)
-    lp.add_rows("cap", price, _join((m,), 1.0, -levels), "<=", 0.0)
-    lp.add_rows("floor", price, _join((m,), 1.0, -floors), ">=", 0.0)
-    sol = lp.solve()
-    # the cheapest level that affords each price; a price at most 1e-7 above
-    # a level, where the level's floor sits, belongs to that level whatever
-    # y says: the program's optimum is only known within its gap, and the
-    # floor's pattern can fall short of the level's
-    below = sol.values[t][:, None] > levels + 1e-7
-    return np.minimum(below.sum(axis=1), own.sum(axis=1) - 1)
-
-
 def solve_single_round(instance: Instance) -> Menu:
     """Best single direct payment with an *unverified* budget report.
 
     A deviation to report (theta', b') is available exactly when its price
-    fits the true wallet (t_{theta',b'} <= b), so which deviations exist
-    depends on the prices. One mixed-integer program picks the best
-    affordability pattern (_affordability_pattern); the pattern's own LP,
-    with only the truthfulness pairs it makes affordable, gives the menu.
+    fits the true wallet (t_{theta',b'} <= b), so the feasible set is a union
+    of polyhedra, one per pattern of cutoffs (item j's cutoff: the lowest
+    budget level that affords t_j). A best-first branch and bound (Land and
+    Doig, Econometrica 28, 1960) searches ranges [lo_j, hi_j] of cutoffs: a
+    node's LP boxes t_j in (level lo_j - 1, level hi_j] and keeps the
+    truthfulness pairs that every pattern in it makes affordable, so it
+    bounds them all. Each node offers the pattern its prices fall in, then
+    splits the range of the item whose dropped pair its menu breaks most.
     Diagnostic companion to solve_cm_depr showing what verified deposits
     buy the seller.
     """
@@ -407,19 +370,63 @@ def solve_single_round(instance: Instance) -> Menu:
     view = prior_view(instance)
     types, b, _ = _pair_arrays(view)
     levels = np.array(instance.budgets)
-    try:
-        cutoffs = _affordability_pattern(instance, types, b, view.weights)
-        # the pattern program's own price boxes: a price sits more than 1e-9
-        # above every budget level the pattern leaves unable to afford it
-        lo = np.where(cutoffs > 0, levels[cutoffs - 1] + 1e-7, -instance.seller_budget)
-        ic_pairs = np.argwhere((levels[cutoffs][None, :] <= b[:, None])
-                               & ~np.eye(len(b), dtype=bool))
-        return _solve_deposit_family("single-round", instance, _menu_labels(view), types,
-                                     view.weights, ic_pairs, lo, levels[cutoffs])
-    except SolverFailure as exc:
-        if exc.status != INFEASIBLE:
-            raise
-        raise PreconditionError("no affordability pattern is feasible") from exc
+    m, own = len(b), np.searchsorted(levels, b)           # each entry's own level
+    solved = {}
+
+    def solve(lo, hi) -> Menu | None:
+        """The LP of cutoff ranges [lo, hi], solved once; None if infeasible.
+        A price sits at least 1e-7 above every level its range cannot
+        afford."""
+        key = (lo.tobytes(), hi.tobytes())
+        if key not in solved:
+            floor = np.where(lo > 0, levels[lo - 1] + 1e-7, -instance.seller_budget)
+            ic_pairs = np.argwhere((levels[hi][None, :] <= b[:, None]) & ~np.eye(m, dtype=bool))
+            try:
+                solved[key] = _solve_deposit_family("single-round", instance, _menu_labels(view),
+                                                    types, view.weights, ic_pairs, floor,
+                                                    levels[hi])
+            except SolverFailure as exc:
+                if exc.status != INFEASIBLE:
+                    raise
+                solved[key] = None
+        return solved[key]
+
+    best, order = None, itertools.count()
+    heap = [(-np.inf, next(order), np.zeros(m, dtype=int), own)]   # (-parent bound, ...)
+    while heap:
+        neg_bound, _, lo, hi = heapq.heappop(heap)
+        bound = -neg_bound
+        if best is not None and best.revenue >= bound - 1e-9 * max(1.0, abs(bound)):
+            break                                 # no node left can beat it by the gap
+        node = solve(lo, hi)
+        if node is None:
+            continue
+        # the cheapest level that affords each price; a price at most 1e-7
+        # above a level, where the next level's floor sits, belongs to it
+        cut = np.clip(np.searchsorted(levels + 1e-7, node.payments), lo, hi)
+        pattern = solve(cut, cut)
+        if pattern is not None and (best is None or pattern.revenue > best.revenue):
+            best = pattern
+        if (lo == hi).all():
+            continue
+        # a dropped pair (i, j) is one some pattern of the node makes
+        # affordable; split j's range at i's level where it gains most
+        values = menu_values(node, view)
+        unsure = (levels[lo][None, :] <= b[:, None]) & (b[:, None] < levels[hi][None, :])
+        gain = np.where(unsure & values.affordable, values.best - values.obedient[:, None], 0.0)
+        if gain.max() > 1e-9:
+            i, j = np.unravel_index(gain.argmax(), gain.shape)
+            k = own[i]
+        else:                                     # split the first open range
+            j = int(np.argmax(lo < hi))
+            k = min(cut[j], hi[j] - 1)
+        below, above = hi.copy(), lo.copy()
+        below[j], above[j] = k, k + 1
+        for child in ((lo, below), (above, hi)):
+            heapq.heappush(heap, (-node.revenue, next(order), *child))
+    if best is None:
+        raise PreconditionError("no affordability pattern is feasible")
+    return best
 
 
 # ---------------------------------------------------------------------------

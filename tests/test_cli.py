@@ -176,8 +176,9 @@ def test_bad_flags_are_input_errors_before_any_output(argv, box_file, capsys):
 
 def test_single_round_prints_only_its_own_bytes():
     # on this instance (draw 47 of random_independent_instance(default_rng(5)))
-    # HiGHS's branch-and-bound prints a line of its own from C, past
-    # sys.stdout, so only a subprocess sees what reaches file descriptor 1
+    # HiGHS's branch-and-bound once printed a line of its own from C, past
+    # sys.stdout; only a subprocess sees every byte that reaches file
+    # descriptor 1, so this guards stdout against any foreign byte
     done = subprocess.run([sys.executable, "-m", "infosale.cli", "solve", "--instance",
                            str(FIXTURES / "single_round_stdout_seed5_draw47.json"),
                            "--mechanism", "single-round"], capture_output=True)

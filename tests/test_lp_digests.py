@@ -1,12 +1,10 @@
-"""Every LP and MILP the solvers hand to HiGHS, and every menu they return,
-pinned by digest.
+"""Every LP the solvers hand to HiGHS, and every menu they return, pinned by
+digest.
 
 Each call to lpcore's `linprog` is captured and hashed: the objective, the
-column bounds, the integrality marks and every constraint matrix in the CSR
-form HiGHS reads (data, indices and indptr) with its right-hand sides. A
-call with an integer column is hashed as a `milp`, in the layout
-`scipy.optimize.milp` takes (each matrix with its lower and upper row
-bounds), the form these programs were first pinned in. Same digests mean the
+column bounds, a zero integrality mark per column (the layout these programs
+were first pinned in) and every constraint matrix in the CSR form HiGHS reads
+(data, indices and indptr) with its right-hand sides. Same digests mean the
 same programs, column for column and row for row, so any rewrite of the LP
 builders must leave them unchanged.
 Each returned menu's payments, kernel, utilities and revenue are hashed the
@@ -57,15 +55,6 @@ def _linprog_arrays(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None, 
     return out
 
 
-def _milp_arrays(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None,
-                 integrality=None, **_):
-    bounds = np.asarray(bounds, dtype=float).reshape(-1, 2)
-    out = [c, bounds[:, 0], bounds[:, 1], integrality]
-    for A, lo, hi in ((A_ub, -np.inf, b_ub), (A_eq, b_eq, b_eq)):
-        out += [] if A is None else _csr(A) + [np.broadcast_to(lo, len(hi)), hi]
-    return out
-
-
 def _cases():
     box = treasure_box()
     cases = {"box-depr": lambda: solve_cm_depr(box),
@@ -98,10 +87,7 @@ def capture(run) -> list[str]:
     linprog = lpcore.linprog
 
     def traced_linprog(*args, **kwargs):
-        if np.any(kwargs.get("integrality")):
-            seen.append(_digest("milp", _milp_arrays(*args, **kwargs)))
-        else:
-            seen.append(_digest("linprog", _linprog_arrays(*args, **kwargs)))
+        seen.append(_digest("linprog", _linprog_arrays(*args, **kwargs)))
         return linprog(*args, **kwargs)
 
     lpcore.linprog = traced_linprog

@@ -48,17 +48,15 @@ def test_infeasible_raises():
         lp.solve()
 
 
-@pytest.mark.parametrize("integer, status", [(False, "unbounded"), (True, "error")],
-                         ids=["lp", "milp"])
-def test_unbounded_raises(integer, status):
-    # HiGHS's branch-and-bound reports an unbounded MILP as "unbounded or
-    # infeasible", which says neither, so it surfaces as a solver error
+@pytest.mark.parametrize("lb, maximize", [(0.0, True), (None, False)], ids=["lp", "free-min"])
+def test_unbounded_raises(lb, maximize):
+    # x >= 0 maximized, or a free x minimized
     lp = LinearProgram("unbounded")
-    x = lp.add_block("x", (), 0.0, integer=integer)
-    lp.set_objective(x, 1.0)
+    x = lp.add_block("x", (), lb)
+    lp.set_objective(x, 1.0, maximize=maximize)
     with pytest.raises(SolverFailure) as failure:
         lp.solve()
-    assert failure.value.status == status
+    assert failure.value.status == "unbounded"
 
 
 def test_free_variable():
@@ -91,53 +89,14 @@ def test_random_lps_respect_constraints(rng):
         assert lp.max_violation(sol.values)[0] <= 1e-8
 
 
-def _knapsack(integer):
+def _knapsack():
     # max 8a + 11b + 6c + 4d  s.t. 5a + 7b + 4c + 3d <= 14, each in [0, 1]:
-    # the relaxation takes half of c for 22, the 0/1 optimum is b + c + d = 21
+    # the optimum takes a, b and half of c for 22
     lp = LinearProgram("knapsack")
-    xs = lp.add_block("x", 4, 0.0, 1.0, integer=integer)
+    xs = lp.add_block("x", 4, 0.0, 1.0)
     lp.add_rows("weight", xs, [5.0, 7.0, 4.0, 3.0], "<=", 14.0)
     lp.set_objective(xs, [8.0, 11.0, 6.0, 4.0])
     return lp
-
-
-def test_integer_columns_give_integer_optimum():
-    assert _knapsack(False).solve().objective == pytest.approx(22.0, abs=1e-9)
-    sol = _knapsack(True).solve()
-    assert sol.objective == pytest.approx(21.0, abs=1e-9)
-    assert np.allclose(sol.values, [0.0, 1.0, 1.0, 1.0], atol=1e-9)
-
-
-def test_integer_program_with_held_back_rows_goes_whole():
-    # the knapsack with a held-back count row a + b + c + d <= 3: the
-    # relaxation's optimum (a, b, half of c) meets it, so held back the
-    # count row never joins and the point would stay fractional
-    lp = LinearProgram("knapsack-held")
-    xs = lp.add_block("x", 4, 0.0, 1.0, integer=True)
-    lp.add_rows("rows", [[xs, xs]], [[[5.0, 7.0, 4.0, 3.0], [1.0, 1.0, 1.0, 1.0]]], "<=",
-                [[14.0, 3.0]], start=[True, False])
-    lp.set_objective(xs, [8.0, 11.0, 6.0, 4.0])
-    sol = lp.solve()
-    assert sol.objective == pytest.approx(21.0, abs=1e-9)
-    assert np.allclose(sol.values, [0.0, 1.0, 1.0, 1.0], atol=1e-9)
-    assert (sol.rounds, sol.rows) == (1, 2)
-
-
-def test_infeasible_integer_program_raises():
-    # 2x == 1 has the fractional solution 1/2 but no integer one
-    lp = LinearProgram("odd")
-    x = lp.add_block("x", (), 0.0, 1.0, integer=True)
-    lp.add_rows("half", [x], [2.0], "==", 1.0)
-    lp.set_objective(x, 1.0)
-    with pytest.raises(SolverFailure, match="infeasible"):
-        lp.solve()
-
-
-def test_recheck_reports_integrality_violation():
-    lp = _knapsack(True)
-    worst, name = lp.max_violation(np.array([0.0, 1.0, 0.5, 0.0]))
-    assert worst == pytest.approx(0.5)
-    assert name == "integrality:x[2]"
 
 
 def test_failure_status_names_the_cause(monkeypatch):
@@ -156,7 +115,7 @@ def test_failure_status_names_the_cause(monkeypatch):
     assert failure.value.status == "unbounded"
     monkeypatch.setattr(lpcore, "FEAS_TOL", -1.0)
     with pytest.raises(SolverFailure) as failure:
-        _knapsack(False).solve()
+        _knapsack().solve()
     assert failure.value.status == "recheck"
     assert SolverFailure("plain").status == "error"
 

@@ -384,8 +384,8 @@ def _independent_above_twelve(count):
 
 
 def test_held_back_one_price_menus_agree_with_the_whole_program():
-    # depr, and single-round's pattern LP, hold their epigraph rows back as
-    # probr does; the pattern MILP always goes whole
+    # depr, and every LP of single-round's search, hold their epigraph rows
+    # back as probr does
     for inst in _independent_above_twelve(6):
         for solve in (solve_cm_depr, solve_single_round):
             held, whole = _held_and_whole(lambda: solve(inst))
@@ -395,9 +395,8 @@ def test_held_back_one_price_menus_agree_with_the_whole_program():
 
 
 def test_single_round_solves_fifteen_entries():
-    # 4 states, 5 types, 3 actions and 3 budget levels: the pattern MILP has
-    # more than 12 entries, and the epigraph rows it shares with the pattern
-    # LP are held back, so a relaxation would come back fractional
+    # 4 states, 5 types, 3 actions and 3 budget levels: more than 12 entries,
+    # each LP of the search holding its epigraph rows back
     rng = np.random.default_rng(20261021)
     inst = random_independent_instance(rng, 4, 5, 3, 3)
     while len(prior_view(inst).index) != 15 or len(inst.omega) != 4 or len(inst.actions) != 3:

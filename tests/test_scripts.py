@@ -31,14 +31,14 @@ def test_capacity_ladder_runs_its_first_rung(monkeypatch):
     ladder = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(ladder)
     monkeypatch.setattr(ladder, "RUNGS", ladder.RUNGS[:1])
-    monkeypatch.setattr(ladder, "MORE_RUNGS", {"probr": (), "depr": ()})
+    monkeypatch.setattr(ladder, "MORE_RUNGS", dict.fromkeys(ladder.SOLVE, ()))
     monkeypatch.setenv("PYTHONPATH", str(ROOT / "src"))
-    for solver in ("probr", "depr"):
+    for solver in ladder.SOLVE:
         result = ladder.ladder(budget=60.0, seed=1, solver=solver)
         (rung,) = result["rungs"]
         assert result["solver"] == solver
         assert rung["size"] == [4, 4, 4, 3] and rung["verdicts"] == ["pass"] * 3
         assert rung["rows"] > 0 and rung["median_s"] < 5
-        assert all(k >= 1 for k in rung["rounds"])
+        assert all(k >= 1 for k in rung["calls"]) and all(k >= 1 for k in rung["rounds"])
         assert all(k <= rung["rows"] for k in rung["model_rows"])
         assert all(k > 0 for k in rung["iterations"])

@@ -1,18 +1,25 @@
 """solve_single_round against a reference that enumerates every
-affordability pattern with one LP each, the way the solver worked before it
-chose the pattern with one mixed-integer program."""
+affordability pattern with one LP each, and against revenues recorded from a
+mixed-integer program over the patterns, on draws whose search branches past
+its root."""
 
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis.strategies import integers
 
-from infosale import (PreconditionError, lpcore, prior_view, SolverFailure, revenue_cap,
-                      solve_single_round, verify_all)
+from infosale import (PreconditionError, load_instance, lpcore, mechanisms, prior_view,
+                      SolverFailure, revenue_cap, solve_single_round, verify_all)
 from infosale.mechanisms import _menu_labels, _solve_deposit_family
 from infosale.random_instances import random_independent_instance
+
+# revenues of the 120 pool draws and two ladder draws, from the pattern
+# mixed-integer program this search replaced (gap 1e-9, relative)
+REVENUES = Path(__file__).parent / "fixtures" / "single_round_revenues.json"
 
 
 def reference_single_round(instance):
@@ -112,3 +119,26 @@ def test_recheck_failure_is_not_a_precondition(box, monkeypatch):
     with pytest.raises(SolverFailure) as failure:
         solve_single_round(box)
     assert failure.value.status == "recheck"
+
+
+def test_search_matches_the_pattern_programs_revenues():
+    # the ladder draws take 8 LPs each, so the search runs well past its root
+    recorded = json.loads(REVENUES.read_text())
+    rng = np.random.default_rng(20260501)
+    cases = [(random_independent_instance(rng), r) for r in recorded["pool"]["revenues"]]
+    cases += [(load_instance(d["instance"]), d["revenue"]) for d in recorded["ladder"]]
+    for inst, revenue in cases:
+        mech = solve_single_round(inst)
+        assert abs(mech.revenue - revenue) <= 1e-9 * max(1.0, abs(revenue))
+        assert verify_all(mech, inst, eps=0.0, tol=1e-6).passed
+
+
+def test_no_feasible_pattern_is_a_precondition(box, monkeypatch):
+    # every node's LP infeasible: the instance has no affordability pattern
+    # (CLI exit 3), unlike a re-check failure
+    def infeasible(*args):
+        raise SolverFailure("single-round: program infeasible", status=lpcore.INFEASIBLE)
+
+    monkeypatch.setattr(mechanisms, "_solve_deposit_family", infeasible)
+    with pytest.raises(PreconditionError, match="no affordability pattern is feasible"):
+        solve_single_round(box)
