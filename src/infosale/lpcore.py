@@ -4,12 +4,13 @@ A program is held as arrays: columns come in named blocks of any shape
 (add_block returns the block's column ids as an array of that shape), and
 rows come in named families, each one sense with a (rows, terms) grid of
 column ids and coefficients and one right-hand side per row (add_rows).
-solve() stacks the families' COO triples into sparse matrices and hands the
-whole program to this module's `linprog`, the one way to HiGHS (its dual
-simplex; Huangfu and Hall, Math. Prog. Comp. 10, 2018), maps its status onto
-a small enum, and re-checks the returned point against every row and bound
-with its own sparse products — a solution is never trusted on the solver's
-word alone.
+solve() compresses the families' terms into rows (`CompressedRows`) and
+hands the whole program to this module's `linprog`, the one way to HiGHS
+(its dual simplex; Huangfu and Hall, Math. Prog. Comp. 10, 2018), maps its
+status onto a small enum, and re-checks the returned point against every row
+and bound with its own row products — a solution is never trusted on the
+solver's word alone. It loads only numpy, scipy's top package and HiGHS's
+extension module (`_load_highs`), not the slow scipy.optimize package.
 
 A family of inequality rows can be held back: `linprog` then builds its
 model from the family's start rows and, keeping HiGHS's basis, re-solves
@@ -20,14 +21,37 @@ until no missing row is violated (Kelley's cutting-plane method, J. SIAM 8,
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
+from functools import cached_property
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize._highspy import _core as core
-from scipy.sparse import csc_matrix, csr_matrix, vstack
+import scipy
 
 from .errors import SolverFailure
+
+
+def _load_highs():
+    """scipy's HiGHS bindings, loaded from their file under the name a later
+    `import scipy.optimize` reuses (a pybind11 module cannot be set up twice).
+    Known wart: then `scipy.optimize._highspy` has no `_core` attribute, but
+    `from scipy.optimize._highspy import _core` and its linprog still work."""
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        return sys.modules[name]
+    folder = f"{scipy.__path__[0]}/optimize/_highspy"
+    spec = FileFinder(folder, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+    if spec is None:
+        raise ImportError(f"no HiGHS extension module _core in {folder}")
+    module = sys.modules[name] = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+core = _load_highs()
 
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
@@ -78,25 +102,63 @@ class HighsResult(NamedTuple):
     rows: int
 
 
+class CompressedRows:
+    """Sparse rows in scipy.sparse's canonical CSR form: each row's columns
+    ascending and none repeated, explicit zeros kept."""
+
+    def __init__(self, indptr, indices, data, cols: int):
+        self.indptr, self.indices, self.data = indptr, indices, data
+        self.shape, self.nnz = (len(indptr) - 1, int(cols)), len(data)
+
+    @classmethod
+    def from_terms(cls, row, col, data, shape):
+        """Terms data[k] * x[col[k]] of rows row[k]; a repeated (row, col)
+        adds up in the order given, and col -1 is no term."""
+        key = np.where(col < 0, -1, row * shape[1] + col)
+        order = np.argsort(key, kind="stable")[np.count_nonzero(col < 0):]
+        key, col, data = key.take(order), col.take(order), data.take(order)
+        first = np.concatenate([[True], key[1:] != key[:-1]])[:len(key)]
+        if not first.all():
+            summed = data[first]
+            np.add.at(summed, np.cumsum(first)[~first] - 1, data[~first])
+            key, col, data = key[first], col[first], summed
+        indptr = np.searchsorted(key, np.arange(shape[0] + 1) * shape[1])
+        return cls(indptr, col, data, shape[1])
+
+    @cached_property
+    def _row(self) -> np.ndarray:
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        # bincount sums each row in order, as scipy's CSR product does (in ints if empty)
+        products = x.take(self.indices)
+        products *= self.data
+        return np.bincount(self._row, products, self.shape[0]).astype(float, copy=False)
+
+    def take(self, rows) -> CompressedRows:
+        """The rows picked by a boolean mask or by ids, in that order."""
+        rows = np.flatnonzero(rows) if np.asarray(rows).dtype == bool else np.asarray(rows)
+        first, counts = self.indptr[rows], self.indptr[rows + 1] - self.indptr[rows]
+        indptr = np.concatenate([[0], np.cumsum(counts)])
+        at = np.repeat(first - indptr[:-1], counts) + np.arange(indptr[-1])
+        return CompressedRows(indptr, self.indices.take(at), self.data.take(at), self.shape[1])
+
+
 def _highs(c, A_ub, b_ub, A_eq, b_eq, lb, ub) -> core._Highs:
-    """A HiGHS model of min c @ x over A_ub x <= b_ub, A_eq x == b_eq and
-    lb <= x <= ub (a matrix may be None), with every option set."""
-    parts = [(A, np.broadcast_to(lo, len(hi)), hi)
-             for A, lo, hi in ((A_ub, -np.inf, b_ub), (A_eq, b_eq, b_eq)) if A is not None]
-    A = vstack([a for a, _, _ in parts]).tocsc() if parts else csc_matrix((0, len(c)))
-    model = core.HighsLp()
-    model.num_col_ = model.a_matrix_.num_col_ = len(c)
-    model.num_row_ = model.a_matrix_.num_row_ = A.shape[0]
-    model.a_matrix_.format_ = core.MatrixFormat.kColwise
-    model.a_matrix_.start_, model.a_matrix_.index_, model.a_matrix_.value_ = (
-        A.indptr, A.indices, A.data)
-    model.col_cost_, model.col_lower_, model.col_upper_ = c, lb, ub
-    model.row_lower_ = np.concatenate([[], *(lo for _, lo, _ in parts)])
-    model.row_upper_ = np.concatenate([[], *(hi for _, _, hi in parts)])
+    """A HiGHS model of min c @ x over A_ub x <= b_ub, A_eq x == b_eq and lb <= x <= ub
+    (a matrix may be None), every option set; rows go in stacked, columns continuous."""
+    skip = 0 if A_ub is None else A_ub.nnz
+    parts = [(A.indptr[:-1] + shift, A.indices, A.data, np.broadcast_to(lo, len(hi)), hi)
+             for A, lo, hi, shift in ((A_ub, -np.inf, b_ub, 0), (A_eq, b_eq, b_eq, skip))
+             if A is not None]
+    start, index, data, lower, upper = (np.concatenate([p[k] for p in parts] or [[]])
+                                        for k in range(5))
     highs = core._Highs()
     for option, value in _HIGHS_OPTIONS:
         highs.setOptionValue(option, value)
-    highs.passModel(model)
+    highs.passModel(len(c), len(lower), len(data), int(core.MatrixFormat.kRowwise),
+                    int(core.ObjSense.kMinimize), 0.0, c, lb, ub, lower, upper, start, index, data,
+                    np.zeros(len(c), np.int32))
     return highs
 
 
@@ -116,9 +178,9 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None,
     missing = np.zeros(0 if b_ub is None else len(b_ub), dtype=bool)
     for ids, start in held:
         missing[ids[~start]] = True
-    kept = (A_ub[~missing], b_ub[~missing]) if missing.any() else (A_ub, b_ub)
+    kept = (A_ub.take(~missing), b_ub[~missing]) if missing.any() else (A_ub, b_ub)
     highs = _highs(c, *kept, A_eq, b_eq, lb, ub)
-    cuts = [(ids, A_ub[ids.ravel()], b_ub[ids.ravel()]) for ids, _ in held]
+    cuts = [(ids, A_ub.take(ids.ravel()), b_ub[ids.ravel()]) for ids, _ in held]
     rounds = nit = 0
     while True:
         highs.run()
@@ -140,10 +202,9 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None,
             return HighsResult(x, code, nit, highs.modelStatusToString(status), rounds,
                                highs.getNumRow())
         missing[new] = False
-        cut = A_ub[new]
+        cut = A_ub.take(new)
         highs.addRows(len(new), np.full(len(new), -np.inf), b_ub[new], cut.nnz,
-                      cut.indptr[:-1].astype(np.int32), cut.indices.astype(np.int32),
-                      cut.data)
+                      cut.indptr[:-1], cut.indices, cut.data)
 
 
 def _label(name: str, shape: tuple, flat: int) -> str:
@@ -241,9 +302,8 @@ class LinearProgram:
                 rows = np.concatenate([np.repeat(np.arange(start, start + len(f[5])), f[3].shape[1])
                                        for f, start in zip(families, starts)])
                 cols, data = (np.concatenate([f[k].ravel() for f in families]) for k in (3, 4))
-                term = cols >= 0
-                out[f"A_{kind}"] = csr_matrix((data[term], (rows[term], cols[term])),
-                                              shape=(starts[-1], self._n))
+                out[f"A_{kind}"] = CompressedRows.from_terms(rows, cols, data,
+                                                             (starts[-1], self._n))
                 out[f"b_{kind}"] = np.concatenate([f[5] for f in families])
         return out
 
@@ -287,7 +347,7 @@ class LinearProgram:
         (`family[index]` or `bound:block[index]`); (0.0, "") when nothing is
         violated.
 
-        This is the independent feasibility pass: plain sparse products, no
+        This is the independent feasibility pass: plain row products, no
         solver state involved.
         """
         return self._violation(np.asarray(values, dtype=float), self._assemble())

@@ -20,7 +20,6 @@ import json
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from infosale import (InstanceOracle, draw_samples, lpcore, solve_cm_depr,
                       solve_cm_dirp, solve_cm_probr, solve_epsilon_lp,
@@ -43,7 +42,6 @@ def _digest(kind: str, arrays) -> str:
 
 
 def _csr(A):
-    A = csr_matrix(A)
     return [A.shape, A.data, A.indices, A.indptr]
 
 

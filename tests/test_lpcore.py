@@ -1,5 +1,12 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy
 
 from infosale import SolverFailure
 from infosale import lpcore
@@ -240,3 +247,121 @@ def test_only_inequalities_are_held_back():
     x = lp.add_block("x", 2, 0.0, 1.0)
     with pytest.raises(ValueError):
         lp.add_rows("split", x[None], 1.0, "==", 1.0, start=[True])
+
+
+# -- compressed rows ----------------------------------------------------------
+
+
+def _dense(A):
+    out = np.zeros(A.shape)
+    for r in range(A.shape[0]):
+        out[r, A.indices[A.indptr[r]:A.indptr[r + 1]]] = A.data[A.indptr[r]:A.indptr[r + 1]]
+    return out
+
+
+def _terms():
+    # rows 0 and 2 name column 1 twice, row 1 holds an explicit zero, row 3
+    # has no term at all (its columns are all -1)
+    row = np.array([0, 0, 0, 1, 1, 2, 2, 2, 3, 3])
+    col = np.array([2, 1, 1, 0, 3, 1, 4, 1, -1, -1])
+    data = np.array([1.5, 2.0, -0.25, 3.0, 0.0, 1e-3, -2.0, 7.0, 9.0, 9.0])
+    return lpcore.CompressedRows.from_terms(row, col, data, (4, 5))
+
+
+def test_compressed_rows_sum_repeated_terms_and_keep_zeros():
+    A = _terms()
+    reference = np.zeros((4, 5))
+    reference[0, [1, 2]] = 2.0 - 0.25, 1.5
+    reference[1, [0, 3]] = 3.0, 0.0
+    reference[2, [1, 4]] = 1e-3 + 7.0, -2.0
+    assert np.array_equal(_dense(A), reference)
+    assert A.nnz == 6 and list(A.indptr) == [0, 2, 4, 6, 6]
+    assert list(A.indices[2:4]) == [0, 3] and A.data[3] == 0.0
+
+
+def test_compressed_rows_product_sums_each_row_in_order():
+    A = _terms()
+    x = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
+    y = A @ x
+    assert y.dtype == float and y[3] == 0.0
+    for r in range(4):
+        # a plain left-to-right sum, bit for bit
+        terms = [A.data[k] * x[A.indices[k]] for k in range(A.indptr[r], A.indptr[r + 1])]
+        assert y[r] == sum(terms, 0.0)
+    assert np.allclose(y, _dense(A) @ x)
+    empty = lpcore.CompressedRows.from_terms(np.array([0, 1]), np.array([-1, -1]),
+                                             np.ones(2), (2, 3))
+    assert empty.nnz == 0 and (empty @ x[:3]).tolist() == [0.0, 0.0]
+
+
+def test_compressed_rows_take_by_mask_and_by_ids():
+    A = _terms()
+    mask = np.array([True, False, True, True])
+    assert np.array_equal(_dense(A.take(mask)), _dense(A)[mask])
+    assert np.array_equal(_dense(A.take([2, 0, 2])), _dense(A)[[2, 0, 2]])
+    assert A.take(np.zeros(4, bool)).shape == (0, 5)
+
+
+def test_compressed_rows_shape_holds_python_ints():
+    # capacity_ladder.py writes shapes and nonzero counts to JSON
+    for A in (_terms(), _terms().take([1, 2]), _held_toy(None)._assemble()["A_ub"]):
+        assert all(type(k) is int for k in (*A.shape, A.nnz))
+        json.dumps([A.shape, A.nnz])
+
+
+def test_programs_without_rows_or_terms_solve():
+    lp = LinearProgram("bare")
+    x = lp.add_block("x", 2, 0.0, 1.0)
+    lp.set_objective(x, [1.0, 2.0])
+    assert lp._assemble()["A_ub"] is None and lp._assemble()["A_eq"] is None
+    assert lp.solve().objective == pytest.approx(3.0, abs=1e-9)
+    lp.add_rows("none", [[-1, -1]], 1.0, "<=", 1.0)
+    assert lp._assemble()["A_ub"].shape == (1, 2)
+    assert lp.solve().objective == pytest.approx(3.0, abs=1e-9)
+    assert lp.max_violation(np.array([1.0, 1.0])) == (0.0, "")
+
+
+# -- the HiGHS extension module ------------------------------------------------
+
+
+def _fresh(code: str) -> list[str]:
+    """Lines printed by `code` in a new interpreter importing this checkout."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    return done.stdout.splitlines()
+
+
+def test_import_leaves_scipy_optimize_and_sparse_unloaded():
+    # infosale loads HiGHS first; scipy.optimize then takes the same module
+    assert _fresh(
+        "import sys\n"
+        "import infosale\n"
+        "print([m for m in ('scipy.optimize', 'scipy.sparse', 'scipy.linalg')\n"
+        "       if m in sys.modules])\n"
+        "import scipy.optimize\n"
+        "res = scipy.optimize.linprog([-1, -2], A_ub=[[1, 1]], b_ub=[4], bounds=[(0, 3)] * 2)\n"
+        "print(res.status, res.fun, res.x.tolist())\n"
+        "print(infosale.lpcore.core is sys.modules['scipy.optimize._highspy._core'])\n"
+    ) == ["[]", "0 -7.0 [1.0, 3.0]", "True"]
+
+
+def test_scipy_optimize_loaded_first_lends_lpcore_its_module():
+    assert _fresh(
+        "import sys\n"
+        "import scipy.optimize\n"
+        "core = sys.modules['scipy.optimize._highspy._core']\n"
+        "from infosale import LinearProgram, lpcore\n"
+        "lp = LinearProgram('toy')\n"
+        "x = lp.add_block('x', 2, 0.0, 3.0)\n"
+        "lp.add_rows('cap', x, 1.0, '<=', 4.0)\n"
+        "lp.set_objective(x, [1.0, 2.0])\n"
+        "print(lpcore.core is core, lp.solve().objective)\n"
+    ) == ["True 7.0"]
+
+
+def test_missing_extension_module_names_the_folder(monkeypatch, tmp_path):
+    monkeypatch.delitem(sys.modules, "scipy.optimize._highspy._core")
+    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+    with pytest.raises(ImportError, match=str(tmp_path)):
+        lpcore._load_highs()
